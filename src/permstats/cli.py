@@ -385,7 +385,7 @@ def _cmd_improve(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
         while not is_crossing(p)[0]:
             p = improve_noncrossing(p)
             trajectory.append({"perm": _word(p), "value": _frac(displacement(p))})
-    elif stat == "s-star":
+    else:
         if p.n < 2:
             raise UsageError("s-star improvement needs n >= 2")
         cyc = perm_to_cycle(p)
@@ -397,8 +397,6 @@ def _cmd_improve(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
             trajectory.append(
                 {"perm": _word(best_unrolling(cyc)), "value": _product(cycle_stat(cyc))}
             )
-    else:
-        raise UsageError("improve supports --stat disp or s-star")
     results = {
         "stat": stat,
         "steps": len(trajectory) - 1,
@@ -520,7 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("improve", "iterate local improvements, printing the trajectory")
     p.add_argument("--perm")
     p.add_argument("--input")
-    p.add_argument("--stat", choices=("disp", "s-plus", "s-star"), default="disp")
+    p.add_argument("--stat", choices=("disp", "s-star"), default="disp")
 
     return parser
 

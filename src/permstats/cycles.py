@@ -12,10 +12,11 @@ one the word does not use.  The cycle statistic
 is therefore the best gap product over all words unrolling rho, and equals
 the full product divided by the shortest jump length.
 
-`two_opt` is the classic tour rewiring: cut jumps a -> rho(a) and
-b -> rho(b), reconnect as a -> b and rho(a) -> rho(b), reversing the segment
-in between.  The result is again a single n-cycle and its jump-length
-multiset swaps {|a - rho(a)|, |b - rho(b)|} for {|a - b|, |rho(a) - rho(b)|}.
+`two_opt` is the 2-opt move of tour improvement (Croes 1958; Lin &
+Kernighan 1973): cut jumps a -> rho(a) and b -> rho(b), reconnect as a -> b
+and rho(a) -> rho(b), reversing the segment in between.  The result is again
+a single n-cycle and its jump-length multiset swaps
+{|a - rho(a)|, |b - rho(b)|} for {|a - b|, |rho(a) - rho(b)|}.
 
 `find_improvement` applies one such rewiring whenever the jump pattern
 matches one of the local configurations that provably increase s(rho):
@@ -30,7 +31,8 @@ matches one of the local configurations that provably increase s(rho):
   (v)   a jump bridging a longer-than-minimal jump in the opposite direction.
 
 Absence of a match does not certify maximality; the guarantee is only that
-every returned cycle has a strictly larger statistic.
+every returned cycle has a strictly larger statistic.  One step of
+`find_improvement` costs O(n^2).
 """
 
 from __future__ import annotations
@@ -211,22 +213,25 @@ class JumpClass:
     second_short: bool
 
 
+def _relation(lo1: int, hi1: int, lo2: int, hi2: int, distinct: bool) -> JumpRelation:
+    """The JumpClass relation of jump spans [lo1, hi1] and [lo2, hi2].
+
+    distinct says whether the two jumps have four distinct endpoints.
+    """
+    contained = (lo1 <= lo2 and hi2 <= hi1) or (lo2 <= lo1 and hi1 <= hi2)
+    if not distinct:
+        return "skips" if contained else "shared-endpoint"
+    if hi1 < lo2 or hi2 < lo1:
+        return "disjoint"
+    return "bridges" if contained else "nontrivial-intersection"
+
+
 def classify_jumps(c: CycleWithStart, a: int, b: int) -> JumpClass:
     """Classify the jump pair (a -> rho(a), b -> rho(b)); requires a != b."""
     if a == b:
         raise ValueError("classification needs two distinct jumps")
     ra, rb = c.successor_of(a), c.successor_of(b)
-    lo1, hi1 = _span(a, ra)
-    lo2, hi2 = _span(b, rb)
-    contained = (lo1 <= lo2 and hi2 <= hi1) or (lo2 <= lo1 and hi1 <= hi2)
-    if len({a, ra, b, rb}) < 4:
-        relation: JumpRelation = "skips" if contained else "shared-endpoint"
-    elif hi1 < lo2 or hi2 < lo1:
-        relation = "disjoint"
-    elif contained:
-        relation = "bridges"
-    else:
-        relation = "nontrivial-intersection"
+    relation = _relation(*_span(a, ra), *_span(b, rb), len({a, ra, b, rb}) == 4)
     direction: Literal["same", "opposite"] = (
         "same" if (ra - a) * (rb - b) > 0 else "opposite"
     )
@@ -243,64 +248,71 @@ def find_improvement(c: CycleWithStart) -> CycleWithStart | None:
     """One rewiring that strictly increases cycle_stat, if a pattern matches.
 
     Conditions (i)-(v) from the module docstring are scanned in that order,
-    each over jump pairs (a, b) with a < b in lexicographic order, and the
-    first match is rewired with two_opt(c, a, b).  Returns None when nothing
-    matches; that does not certify the statistic is maximal.
+    each over jump pairs (a, b) with a < b and four distinct endpoints in
+    lexicographic order, and the first match is rewired with two_opt(c, a, b).
+    Returns None when nothing matches; that does not certify the statistic is
+    maximal.
+
+    A step costs O(n^2): spans, directions and the shortest jump length are
+    computed once per call, and a scan classifies each pair in O(1) when it
+    reaches it.  The scan order and the first-match rule are unchanged from
+    the O(n^3) version that ran classify_jumps on every pair up front, so
+    each step returns the same cycle as that version did.
     """
-    if c.n < 4:
+    n = c.n
+    if n < 4:
         return None
-    pairs = [
-        (a, b)
-        for a in range(1, c.n + 1)
-        for b in range(a + 1, c.n + 1)
-        if len({a, c.successor_of(a), b, c.successor_of(b)}) == 4
-    ]
-    classes = {(a, b): classify_jumps(c, a, b) for a, b in pairs}
+    succ = (0, *c.successor)  # succ[k] = rho(k) for k = 1..n
+    shortest = min(c.jump_lengths())
+    short = [abs(k - s) == shortest for k, s in enumerate(succ)]
+    lo = [min(k, s) for k, s in enumerate(succ)]
+    hi = [max(k, s) for k, s in enumerate(succ)]
+    up = [s > k for k, s in enumerate(succ)]
+
+    def relation(a: int, b: int) -> JumpRelation:
+        return _relation(lo[a], hi[a], lo[b], hi[b], True)
 
     def rewire(a: int, b: int) -> CycleWithStart:
         improved = two_opt(c, a, b)
-        assert cycle_stat(improved) > cycle_stat(c), (
-            f"rewiring ({a}, {b}) failed to improve {c.successor}"
-        )
+        if not cycle_stat(improved) > cycle_stat(c):
+            raise AssertionError(
+                f"rewiring ({a}, {b}) failed to improve {c.successor}"
+            )
         return improved
 
-    # (i) disjoint, same direction: both new jumps are strictly longer.
-    for a, b in pairs:
-        k = classes[(a, b)]
-        if k.relation == "disjoint" and k.direction == "same":
-            return rewire(a, b)
-    # (ii) a short jump meeting an opposite jump part-way: one of the two new
-    # jumps always outgrows the replaced long one, in all four orientations.
-    for a, b in pairs:
-        k = classes[(a, b)]
-        if (
-            k.relation == "nontrivial-intersection"
-            and k.direction == "opposite"
-            and (k.first_short or k.second_short)
-        ):
-            return rewire(a, b)
-    # (iii) a short jump disjoint from an opposite jump: same argument.
-    for a, b in pairs:
-        k = classes[(a, b)]
-        if (
-            k.relation == "disjoint"
-            and k.direction == "opposite"
-            and (k.first_short or k.second_short)
-        ):
-            return rewire(a, b)
-    # (iv) disjoint opposite pairs with neither jump short reduce to a
-    # (i)/(ii)/(iii) witness built around a shortest jump; the scans above
-    # were exhaustive, so there is nothing new to rewire here.
-    #
-    # (v) a jump bridging a longer-than-minimal opposite jump: the two lost
-    # lengths y and x+y+z return as x+y and y+z, and (x+y)(y+z) > y(x+y+z).
-    for a, b in pairs:
-        k = classes[(a, b)]
-        if k.relation != "bridges" or k.direction != "opposite":
-            continue
-        lo_a, hi_a = _span(a, c.successor_of(a))
-        lo_b, hi_b = _span(b, c.successor_of(b))
-        inner_short = k.second_short if lo_a <= lo_b and hi_b <= hi_a else k.first_short
-        if not inner_short:
-            return rewire(a, b)
+    rules = (
+        # (i) disjoint, same direction: both new jumps are strictly longer.
+        lambda a, b: up[a] == up[b] and relation(a, b) == "disjoint",
+        # (ii) a short jump meeting an opposite jump part-way: one of the two
+        # new jumps always outgrows the replaced long one, in all four
+        # orientations.
+        lambda a, b: (
+            (short[a] or short[b])
+            and up[a] != up[b]
+            and relation(a, b) == "nontrivial-intersection"
+        ),
+        # (iii) a short jump disjoint from an opposite jump: same argument.
+        lambda a, b: (
+            (short[a] or short[b])
+            and up[a] != up[b]
+            and relation(a, b) == "disjoint"
+        ),
+        # (iv) disjoint opposite pairs with neither jump short reduce to a
+        # (i)/(ii)/(iii) witness built around a shortest jump; the scans above
+        # are exhaustive, so there is nothing new to rewire here.
+        #
+        # (v) a jump bridging a longer-than-minimal opposite jump: the two lost
+        # lengths y and x+y+z return as x+y and y+z, and (x+y)(y+z) > y(x+y+z).
+        lambda a, b: (
+            up[a] != up[b]
+            and relation(a, b) == "bridges"
+            and not short[b if lo[a] <= lo[b] and hi[b] <= hi[a] else a]
+        ),
+    )
+    for rule in rules:
+        for a in range(1, n + 1):
+            ra = succ[a]
+            for b in range(a + 1, n + 1):
+                if b != ra and succ[b] != a and rule(a, b):
+                    return rewire(a, b)
     return None

@@ -357,6 +357,38 @@ class TestImprove:
             capsys, "improve", "--perm", "1 2 3", "--stat", "s-plus"
         )
         assert code == 2
+        assert "invalid choice" in err
+
+    def test_s_star_same_output_under_optimize(self):
+        # -O strips assert statements; the search must not depend on one
+        argv = ["-m", "permstats.cli", "improve", "--stat", "s-star",
+                "--perm", "7 3 11 1 9 12 5 2 10 4 8 6", "--format", "json"]
+        plain, optimized = (
+            subprocess.run(
+                [sys.executable, *flags, *argv],
+                capture_output=True,
+                text=True,
+                env=child_env(),
+            )
+            for flags in ([], ["-O"])
+        )
+        assert plain.returncode == optimized.returncode == 0
+        assert json.loads(plain.stdout)["results"]["steps"] > 0
+        assert optimized.stdout == plain.stdout
+
+    def test_strict_gain_check_fires_under_optimize(self):
+        code = (
+            "import permstats.cycles as m; m.two_opt = lambda c, a, b: c; "
+            "m.find_improvement(m.CycleWithStart(4, (2, 3, 4, 1), 1))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 1
+        assert "AssertionError: rewiring (1, 3) failed to improve" in proc.stderr
 
     def test_text(self, capsys):
         code, out, err = invoke(capsys, "improve", "--perm", "2 1 3 4")

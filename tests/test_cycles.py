@@ -7,6 +7,7 @@ from itertools import permutations
 
 import pytest
 
+import permstats.cycles
 from permstats.core import Permutation
 from permstats.cycles import (
     CycleWithStart,
@@ -50,6 +51,72 @@ def gap_product(p):
     for k in range(p.n - 1):
         out *= abs(p.image[k + 1] - p.image[k])
     return out
+
+
+def reference_find_improvement(c):
+    """The O(n^3) find_improvement, built on classify_jumps.
+
+    Oracle for the O(n^2) scan in permstats.cycles, which must return the
+    same cycle (successor and start) on every input.  Each pair is classified
+    by classify_jumps, which finds the shortest jump anew on every call.  The
+    library version used to classify all pairs up front; here a pair is
+    classified on first use and remembered, which gives the same answer,
+    since classify_jumps is pure, in about half the time.
+    """
+    if c.n < 4:
+        return None
+    pairs = [
+        (a, b)
+        for a in range(1, c.n + 1)
+        for b in range(a + 1, c.n + 1)
+        if len({a, c.successor_of(a), b, c.successor_of(b)}) == 4
+    ]
+    memo = {}
+
+    def classify(a, b):
+        if (a, b) not in memo:
+            memo[(a, b)] = classify_jumps(c, a, b)
+        return memo[(a, b)]
+
+    def rewire(a, b):
+        improved = two_opt(c, a, b)
+        assert cycle_stat(improved) > cycle_stat(c)
+        return improved
+
+    # (i)
+    for a, b in pairs:
+        k = classify(a, b)
+        if k.relation == "disjoint" and k.direction == "same":
+            return rewire(a, b)
+    # (ii)
+    for a, b in pairs:
+        k = classify(a, b)
+        if (
+            k.relation == "nontrivial-intersection"
+            and k.direction == "opposite"
+            and (k.first_short or k.second_short)
+        ):
+            return rewire(a, b)
+    # (iii)
+    for a, b in pairs:
+        k = classify(a, b)
+        if (
+            k.relation == "disjoint"
+            and k.direction == "opposite"
+            and (k.first_short or k.second_short)
+        ):
+            return rewire(a, b)
+    # (v)
+    for a, b in pairs:
+        k = classify(a, b)
+        if k.relation != "bridges" or k.direction != "opposite":
+            continue
+        lo_a, hi_a = sorted((a, c.successor_of(a)))
+        lo_b, hi_b = sorted((b, c.successor_of(b)))
+        inner_short = k.second_short if lo_a <= lo_b and hi_b <= hi_a else k.first_short
+        if not inner_short:
+            return rewire(a, b)
+    return None
 
 
 class TestCycleWithStart:
@@ -265,3 +332,23 @@ class TestFindImprovement:
     def test_global_maximizers_admit_no_move(self, n):
         for p in multiplicative_maximizers(n):
             assert find_improvement(perm_to_cycle(p)) is None
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_reference_exhaustive(self, n):
+        for c in all_cycles(n):
+            assert find_improvement(c) == reference_find_improvement(c)
+
+    def test_trajectories_match_reference(self):
+        rng = random.Random(17)
+        for n in [30] * 20 + [60] * 2:
+            c = random_cycle(rng, n)
+            while c is not None:
+                nxt = find_improvement(c)
+                assert nxt == reference_find_improvement(c)
+                c = nxt
+
+    def test_strict_gain_check_raises(self, monkeypatch):
+        monkeypatch.setattr(permstats.cycles, "two_opt", lambda c, a, b: c)
+        c = CycleWithStart.from_mapping({1: 2, 2: 3, 3: 4, 4: 5, 5: 6, 6: 1}, 1)
+        with pytest.raises(AssertionError, match="failed to improve"):
+            find_improvement(c)
