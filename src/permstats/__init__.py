@@ -53,7 +53,7 @@ from .cycles import (
     perm_to_cycle,
     two_opt,
 )
-from .oracle import ArgmaxReport, brute_argmax, brute_average_displacement
+from .oracle import ArgmaxReport, Check, brute_argmax, brute_average_displacement, verify
 from .sampling import (
     ConcentrationBound,
     SampleStats,
@@ -108,6 +108,8 @@ __all__ = [
     "ArgmaxReport",
     "brute_argmax",
     "brute_average_displacement",
+    "Check",
+    "verify",
     "SampleStats",
     "ConcentrationBound",
     "sample_uniform",

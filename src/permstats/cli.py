@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Any
 
@@ -38,20 +39,17 @@ from .extremal import (
     max_displacement,
 )
 from .cycles import best_unrolling, cycle_stat, find_improvement, perm_to_cycle
-from .oracle import brute_argmax, brute_average_displacement
+from .oracle import verify
 from .sampling import ConcentrationBound, concentration_report, empirical_stats
 from .stretch import (
     ProductValue,
     consecutive_pairs,
-    is_additive_maximizer,
     max_additive_stretch,
     max_multiplicative_stretch,
-    max_product_partition,
     multiplicative_maximizers,
     stretch_additive,
     stretch_multiplicative,
 )
-from . import core, oracle as oracle_mod
 
 __all__ = ["run", "main"]
 
@@ -209,135 +207,15 @@ def _cmd_construct(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     return 0, {"command": "construct", "n": args.n, "results": results, "status": "ok"}
 
 
-def _verify_checks(max_n: int) -> list[dict[str, Any]]:
-    checks: list[dict[str, Any]] = []
-
-    def record(name: str, ok: bool, detail: str) -> None:
-        checks.append({"name": name, "ok": ok, "detail": detail})
-
-    bad = None
-    for n in range(1, max_n + 1):
-        want = core.average_displacement_exact(n)
-        got = brute_average_displacement(n, limit=max_n)
-        if got != want:
-            bad = f"n={n}: enumerated {got}, closed form {want}"
-            break
-    record("average-displacement", bad is None, bad or f"n=1..{max_n}")
-
-    bad = None
-    for n in range(1, max_n + 1):
-        report = brute_argmax(n, "displacement", limit=max_n)
-        if report.max_value != max_displacement(n):
-            bad = f"n={n}: max {report.max_value} != {max_displacement(n)}"
-            break
-        if report.count != count_max_displacement(n):
-            bad = f"n={n}: count {report.count} != {count_max_displacement(n)}"
-            break
-        top = set(report.maximizers)
-        from itertools import permutations as _perms
-
-        for word in _perms(range(1, n + 1)):
-            p = Permutation(word)
-            if is_crossing(p)[0] != (p in top):
-                bad = f"n={n}: crossing test disagrees with argmax at {word}"
-                break
-        if bad:
-            break
-    record("extreme-displacement", bad is None, bad or f"n=1..{max_n}")
-
-    bad = None
-    for n in range(2, max_n + 1):
-        report = brute_argmax(n, "additive-stretch", limit=max_n)
-        if report.max_value != max_additive_stretch(n):
-            bad = f"n={n}: max {report.max_value} != {max_additive_stretch(n)}"
-            break
-        top = set(report.maximizers)
-        from itertools import permutations as _perms
-
-        for word in _perms(range(1, n + 1)):
-            p = Permutation(word)
-            if is_additive_maximizer(p) != (p in top):
-                bad = f"n={n}: maximizer test disagrees with argmax at {word}"
-                break
-        if bad:
-            break
-    record("additive-stretch", bad is None, bad or f"n=2..{max_n}")
-
-    bad = None
-    for n in range(2, max_n + 1):
-        report = brute_argmax(n, "multiplicative-stretch", limit=max_n)
-        if report.max_value != max_multiplicative_stretch(n):
-            bad = f"n={n}: max {report.max_value!r} != {max_multiplicative_stretch(n)!r}"
-            break
-        if list(report.maximizers) != multiplicative_maximizers(n):
-            bad = f"n={n}: maximizer list mismatch"
-            break
-    record("multiplicative-stretch", bad is None, bad or f"n=2..{max_n}")
-
-    bad = None
-    for n in range(2, max_n + 1):
-        words = brute_argmax(n, "multiplicative-stretch", limit=max_n).max_value
-        cycles = brute_argmax(n, "cycle-stat", limit=max_n).max_value
-        if words != cycles:
-            bad = f"n={n}: word max {words!r} != cycle max {cycles!r}"
-            break
-    record("cycle-correspondence", bad is None, bad or f"n=2..{max_n}")
-
-    bad = None
-    for n in range(1, 7):
-        for s in range(n, 37):
-            value, parts = max_product_partition(n, s)
-            best = _brute_partition_max(n, s)
-            if value != best or sum(parts) != s or len(parts) != n:
-                bad = f"n={n}, s={s}: {value} vs enumerated {best}"
-                break
-        if bad:
-            break
-    record("balanced-partition", bad is None, bad or "n=1..6, s=n..36")
-
-    bad = None
-    for n in range(1, min(max_n, 7) + 1):
-        from itertools import permutations as _perms
-
-        for word in _perms(range(1, n + 1)):
-            p = Permutation(word)
-            if is_crossing(p)[0]:
-                continue
-            q = improve_noncrossing(p)
-            if displacement(q) <= displacement(p):
-                bad = f"n={n}: no strict increase at {word}"
-                break
-        if bad:
-            break
-    record("noncrossing-improvement", bad is None, bad or f"n=1..{min(max_n, 7)}")
-
-    return checks
-
-
-def _brute_partition_max(n: int, s: int) -> int:
-    # max product of n positive parts with sum s, by walking the partitions
-    def rec(parts_left: int, total: int, low: int) -> int:
-        if parts_left == 1:
-            return total
-        best = 0
-        for first in range(low, total - parts_left + 2):
-            best = max(best, first * rec(parts_left - 1, total - first, first))
-        return best
-
-    return rec(n, s, 1)
-
-
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
-    max_n = args.max_n
-    if max_n < 1:
-        raise UsageError(f"--max-n must be positive, got {max_n}")
-    if max_n > oracle_mod.HARD_CAP:
-        raise UsageError(f"--max-n capped at {oracle_mod.HARD_CAP}, got {max_n}")
-    checks = _verify_checks(max_n)
+    try:
+        checks = [asdict(c) for c in verify(args.max_n)]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     failures = sum(1 for c in checks if not c["ok"])
     report = {
         "command": "verify",
-        "n": max_n,
+        "n": args.max_n,
         "results": {"checks": checks, "failures": failures},
         "status": "ok" if failures == 0 else "failed",
     }

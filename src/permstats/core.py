@@ -58,6 +58,8 @@ class Permutation:
         n = len(image)
         if n < 1:
             raise ValueError("a permutation needs at least one element")
+        if not all(issubclass(t, int) and t is not bool for t in set(map(type, image))):
+            raise ValueError(f"elements must be integers (bool excluded): {image!r}")
         if sorted(image) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection of 1..{n}: {image!r}")
 

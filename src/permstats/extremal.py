@@ -140,10 +140,10 @@ def improve_noncrossing(p: Permutation) -> Permutation:
 def construct_prescribed(n: int, d: Fraction | int | str) -> Permutation:
     """A permutation whose normalized displacement approximates d.
 
-    For d in [0, 1/2] set delta = sqrt(2d) and u = ceil(delta * n / 2)
-    (clamped to n // 2).  The result swaps the blocks {1..u} and {u+1..2u}
-    and fixes everything above 2u; its normalized displacement is exactly
-    2 u^2 / n^2, which differs from d by at most 2/n.
+    For d in [0, 1/2] let u be the least integer with 2 u^2 >= d n^2, found in
+    exact integer arithmetic and clamped to n // 2.  The result swaps the blocks
+    {1..u} and {u+1..2u} and fixes everything above 2u; its normalized
+    displacement is exactly 2 u^2 / n^2, which differs from d by at most 2/n.
 
     >>> construct_prescribed(6, Fraction(1, 2)).image
     (4, 5, 6, 1, 2, 3)
@@ -155,8 +155,8 @@ def construct_prescribed(n: int, d: Fraction | int | str) -> Permutation:
     d = Fraction(d)
     if not 0 <= d <= Fraction(1, 2):
         raise ValueError(f"target displacement {d} outside [0, 1/2]")
-    delta = math.sqrt(2 * d)
-    u = min(math.ceil(delta * n / 2), n // 2)
+    t = -(-d.numerator * n * n // (2 * d.denominator))  # least integer >= d n^2 / 2
+    u = min(math.isqrt(t - 1) + 1 if t else 0, n // 2)
     img = list(range(1, n + 1))
     for i in range(1, u + 1):
         img[i - 1] = i + u

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import permstats
+from permstats import oracle
 from permstats.cli import parse_permutation_text, run
 from permstats.core import Permutation
 from permstats.sampling import displacement_sums
@@ -241,6 +242,47 @@ class TestVerify:
     def test_rejects_nonpositive(self, capsys):
         code, out, err = invoke(capsys, "verify", "--max-n", "0")
         assert code == 2
+
+    def test_same_output_under_optimize(self):
+        argv = ["-m", "permstats.cli", "verify", "--max-n", "6", "--format", "json"]
+        plain, optimized = (
+            subprocess.run(
+                [sys.executable, *flags, *argv],
+                capture_output=True,
+                text=True,
+                env=child_env(),
+            )
+            for flags in ([], ["-O"])
+        )
+        assert plain.returncode == optimized.returncode == 0
+        assert optimized.stdout == plain.stdout
+
+
+class TestVerifyFailures:
+    # Faults injected into the names the verifier looks up.  The expected
+    # details are those the verifier printed for the same faults when it
+    # still lived in cli.py.
+
+    def assert_only_failure(self, capsys, name, detail):
+        code, report = invoke_json(capsys, "verify", "--max-n", "6")
+        assert code == 1 and report["status"] == "failed"
+        assert report["results"]["failures"] == 1
+        failed = [c for c in report["results"]["checks"] if not c["ok"]]
+        assert failed == [{"name": name, "ok": False, "detail": detail}]
+
+    def test_count_off_by_one(self, capsys, monkeypatch):
+        count = oracle.count_max_displacement
+        monkeypatch.setattr(oracle, "count_max_displacement", lambda n: count(n) + (n == 5))
+        self.assert_only_failure(capsys, "extreme-displacement", "n=5: count 20 != 21")
+
+    def test_additive_maximizer_wrong_on_one_word(self, capsys, monkeypatch):
+        test, word = oracle.is_additive_maximizer, Permutation((2, 4, 1, 3))
+        monkeypatch.setattr(oracle, "is_additive_maximizer", lambda p: test(p) != (p == word))
+        self.assert_only_failure(
+            capsys,
+            "additive-stretch",
+            "n=4: maximizer test disagrees with argmax at (2, 4, 1, 3)",
+        )
 
 
 class TestSample:

@@ -45,6 +45,12 @@ class TestPermutation:
             with pytest.raises(ValueError):
                 Permutation(bad)
 
+    @pytest.mark.parametrize("bad", [(1.0, 2.0), (True,), (1, 2.0)])
+    def test_rejects_non_integer_elements(self, bad):
+        # floats and bools compare equal to ints, so only a type check catches them
+        with pytest.raises(ValueError, match="integers"):
+            Permutation(bad)
+
     def test_call_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Permutation((1, 2))(3)

@@ -142,6 +142,23 @@ class TestConstructPrescribed:
         p = construct_prescribed(n, d)
         assert abs(normalized_displacement(p) - d) <= Fraction(2, n)
 
+    def test_block_size_is_exact(self):
+        # d n^2 / 2 = 225 exactly; a float square root gives u = 16, not 15
+        p = construct_prescribed(35, Fraction(18, 49))
+        assert normalized_displacement(p) == Fraction(18, 49)
+
+    @given(
+        st.integers(1, 10**6),
+        st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=10**9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_size_is_least(self, n, d):
+        # the result swaps blocks of size u, so it maps 1 to 1 + u
+        u = construct_prescribed(n, d)(1) - 1
+        assert u == 0 or 2 * (u - 1) ** 2 < d * n * n
+        assert 2 * u * u >= d * n * n or u == n // 2
+        assert abs(Fraction(2 * u * u, n * n) - d) <= Fraction(2, n)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             construct_prescribed(10, Fraction(3, 5))

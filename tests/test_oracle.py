@@ -1,17 +1,22 @@
 """Exhaustive-enumeration reports: values, maximizer sets, caps."""
 
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
+from permstats import oracle
 from permstats.core import Permutation, displacement
 from permstats.extremal import count_max_displacement, max_displacement
 from permstats.oracle import (
     HARD_CAP,
     STATISTICS,
     ArgmaxReport,
+    Check,
     brute_argmax,
     brute_average_displacement,
+    verify,
 )
 from permstats.stretch import (
     ProductValue,
@@ -134,3 +139,37 @@ class TestDeterminism:
         for stat in STATISTICS:
             report = brute_argmax(5, stat)
             assert list(report.maximizers) == sorted(report.maximizers)
+
+
+class TestVerify:
+    def test_all_checks_pass(self):
+        checks = verify(5)
+        assert all(isinstance(c, Check) and c.ok for c in checks)
+        assert [(c.name, c.detail) for c in checks] == [
+            ("average-displacement", "n=1..5"),
+            ("extreme-displacement", "n=1..5"),
+            ("additive-stretch", "n=2..5"),
+            ("multiplicative-stretch", "n=2..5"),
+            ("cycle-correspondence", "n=2..5"),
+            ("balanced-partition", "n=1..6, s=n..36"),
+            ("noncrossing-improvement", "n=1..5"),
+        ]
+
+    def test_rejects_max_n_outside_cap(self):
+        with pytest.raises(ValueError, match="positive"):
+            verify(0)
+        with pytest.raises(ValueError, match="limit 11"):
+            verify(HARD_CAP + 1)
+
+    def test_walks_each_group_once(self, monkeypatch):
+        walks = Counter()
+
+        def counting(items):
+            walks[(items.start, items.stop)] += 1
+            return permutations(items)
+
+        monkeypatch.setattr(oracle, "permutations", counting)
+        verify(6)
+        words = Counter((1, n + 1) for n in range(1, 7))
+        cycles = Counter((2, n + 1) for n in range(2, 7))
+        assert walks == words + cycles
