@@ -9,6 +9,7 @@ front end.
 """
 
 from .core import (
+    InvariantError,
     Permutation,
     average_displacement_exact,
     complement,
@@ -68,6 +69,7 @@ from .sampling import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "InvariantError",
     "Permutation",
     "displacement",
     "normalized_displacement",

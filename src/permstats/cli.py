@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Any
 
 from .core import (
+    InvariantError,
     Permutation,
     dispersion,
     displacement,
@@ -239,9 +240,13 @@ def _cmd_sample(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     epsilons = _parse_epsilons(args.epsilons)
     try:
         stats = empirical_stats(args.n, args.trials, args.seed, epsilons)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    rows = concentration_report(stats, ConcentrationBound())
+    except (ValueError, MemoryError) as exc:
+        raise UsageError(str(exc) or "out of memory") from None
+    try:
+        rows = concentration_report(stats, ConcentrationBound())
+    except InvariantError as exc:
+        results = {"error": str(exc)}
+        return 1, {"command": "sample", "n": args.n, "results": results, "status": "failed"}
     results = {
         "trials": stats.trials,
         "seed": stats.seed,
@@ -300,7 +305,7 @@ def _render_text(report: dict[str, Any]) -> str:
             word = " ".join(str(v) for v in step["perm"])
             lines.append(f"step {k}: {word}  value {_render_value(step['value'])}")
         lines.append(f"steps: {results['steps']}")
-    elif cmd == "sample":
+    elif cmd == "sample" and report["status"] == "ok":
         for key in ("trials", "seed", "mean", "median"):
             lines.append(f"{key}: {results[key]}")
         for eps in results["fractions"]:
@@ -330,7 +335,7 @@ def _render_value(value: Any) -> str:
 
 def _render_csv(report: dict[str, Any]) -> str:
     results = report["results"]
-    if report["command"] == "sample":
+    if report["command"] == "sample" and report["status"] == "ok":
         lines = ["bin_lo,bin_hi,count"]
         for lo, hi, count in results["histogram"]:
             lines.append(f"{lo!r},{hi!r},{count}")

@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Iterator
 
 __all__ = [
+    "InvariantError",
     "Permutation",
     "displacement",
     "normalized_displacement",
@@ -34,6 +35,13 @@ __all__ = [
     "spread",
     "dispersion",
 ]
+
+
+class InvariantError(AssertionError):
+    """A run-time self-check failed: a bug, not bad input.
+
+    Raised explicitly, so the check survives `python -O`.
+    """
 
 
 @dataclass(frozen=True, order=True)

@@ -1,13 +1,16 @@
 """Seeded Monte Carlo over uniform random permutations.
 
 Randomness comes from Philox4x64-10, a counter-based generator with a
-published algorithm and platform-independent output.  The 64-bit seed is the
-Philox key and the trial index is planted in the second word of the 256-bit
-counter, so trial t draws from its own block of 2^64 states: results are
-reproducible for a given (seed, n), independent of evaluation order, and
-trials can be recomputed individually.  Permutations are produced by the
-generator's Fisher-Yates shuffle over unbiased bounded draws, giving every
-one of the n! outcomes equal probability under an ideal source.
+published algorithm.  The 64-bit seed is the Philox key and the trial index
+is planted in the second word of the 256-bit counter, so trial t draws from
+its own block of 2^64 states: results are reproducible for a given (seed, n),
+independent of evaluation order, and trials can be recomputed individually.
+One Philox serves a whole call; before each trial its state is set to
+counter [0, t, 0, 0] with an empty output buffer, the state a fresh
+Philox(key=seed, counter=t << 64) starts in.  Permutations are produced by
+numpy's `Generator.permutation` (a Fisher-Yates shuffle over bounded draws),
+giving every one of the n! outcomes equal probability under an ideal source;
+the seed-to-permutation map therefore also depends on that numpy routine.
 
 Displacement samples are accumulated exactly (integer totals, `Fraction`
 ratios); floating point appears only in reported summaries and in the
@@ -28,11 +31,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import Permutation, hamming_distance, normalized_displacement
+from .core import InvariantError, Permutation, hamming_distance, normalized_displacement
 
 __all__ = [
     "SampleStats",
@@ -46,6 +49,7 @@ __all__ = [
 ]
 
 HISTOGRAM_BINS = 50
+_WORD = 2**64 - 1
 
 
 def _check_seed(seed: int) -> None:
@@ -53,9 +57,29 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 
-def _trial_generator(seed: int, index: int) -> np.random.Generator:
-    # Each trial owns counter block [*, index, 0, 0]: 2^64 states of headroom.
-    return np.random.Generator(np.random.Philox(key=seed, counter=index << 64))
+def _trial_stream(seed: int) -> Callable[[int], np.random.Generator]:
+    """trial(t) returns one shared Generator in the state a fresh
+    Philox(key=seed, counter=t << 64) starts in.
+
+    A fresh Philox per trial would also read OS entropy for a SeedSequence
+    it never uses, which cost more than the draws at small n.
+    """
+    bits = np.random.Philox(key=seed)
+    generator = np.random.Generator(bits)
+    state = bits.state
+    state.update(buffer_pos=4, has_uint32=0, uinteger=0)  # empty output buffer
+    counter = state["state"]["counter"]
+    counter[:] = 0
+
+    def trial(index: int) -> np.random.Generator:
+        # counter = index << 64; word 0 counts the blocks drawn within the trial
+        counter[1] = index & _WORD
+        counter[2] = (index >> 64) & _WORD
+        counter[3] = index >> 128
+        bits.state = state  # the setter copies, so state stays as set above
+        return generator
+
+    return trial
 
 
 def sample_uniform(n: int, seed: int, index: int = 0) -> Permutation:
@@ -67,9 +91,9 @@ def sample_uniform(n: int, seed: int, index: int = 0) -> Permutation:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     _check_seed(seed)
-    if index < 0:
-        raise ValueError(f"index must be nonnegative, got {index}")
-    word = _trial_generator(seed, index).permutation(n) + 1
+    if not 0 <= index < 2**192:
+        raise ValueError(f"index must lie in [0, 2**192), got {index}")
+    word = _trial_stream(seed)(index).permutation(n) + 1
     return Permutation(tuple(int(v) for v in word))
 
 
@@ -83,11 +107,11 @@ def displacement_sums(n: int, trials: int, seed: int) -> np.ndarray:
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     _check_seed(seed)
-    idx = np.arange(1, n + 1, dtype=np.int64)
+    trial = _trial_stream(seed)
+    idx = np.arange(n, dtype=np.int64)  # 0-based, as permutation(n) returns
     out = np.empty(trials, dtype=np.int64)
     for t in range(trials):
-        word = _trial_generator(seed, t).permutation(n) + 1
-        out[t] = np.abs(word - idx).sum()
+        out[t] = np.abs(trial(t).permutation(n) - idx).sum()
     return out
 
 
@@ -135,14 +159,14 @@ def empirical_stats(
         for k in range(len(counts))
     )
 
-    # |s/n^2 - med/n^2| <= eps  <=>  |s - med| * den <= num with eps*n^2 = num/den.
-    deltas = [abs(int(s) - med_sum) for s in sums]
+    # |s/n^2 - med/n^2| <= eps  <=>  |s - med| <= floor(eps*n^2) for integer s;
+    # the floor stays a Python int, so a huge or negative eps compares exactly.
+    deltas = np.abs(sums - med_sum)
     fractions: dict[Fraction, Fraction] = {}
     for raw in epsilons:
         eps = Fraction(raw)
-        bound = eps * n * n
-        hit = sum(1 for delta in deltas if delta * bound.denominator <= bound.numerator)
-        fractions[eps] = Fraction(hit, trials)
+        hit = np.count_nonzero(deltas <= math.floor(eps * n * n))
+        fractions[eps] = Fraction(int(hit), trials)
 
     return SampleStats(
         n=n,
@@ -162,9 +186,10 @@ def fraction_in_interval(
 
     Purely descriptive; nothing in the package asserts a particular value.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
+    # For an integer s: lo*n < s < hi*n  <=>  floor(lo*n) < s < ceil(hi*n).
+    low, high = math.floor(Fraction(lo) * n), math.ceil(Fraction(hi) * n)
     sums = displacement_sums(n, trials, seed)
-    hit = sum(1 for s in sums if lo * n < int(s) < hi * n)
+    hit = np.count_nonzero((sums > low) & (sums < high))
     return Fraction(int(hit), trials)
 
 
@@ -185,16 +210,17 @@ def concentration_report(
 ) -> tuple[tuple[Fraction, Fraction, float], ...]:
     """Rows (eps, empirical fraction, guaranteed lower bound) per eps.
 
-    The empirical fraction can never fall below the bound; that inequality is
-    asserted, since a violation would mean a bug in the sampler or the bound.
+    The empirical fraction can never fall below the bound; a violation would
+    mean a bug in the sampler or the bound, and raises InvariantError.
     """
     rows = []
     for eps, frac in sorted(stats.fractions.items()):
         guaranteed = bound.bound(eps, stats.n)
-        assert frac >= guaranteed, (
-            f"measured fraction {frac} below guaranteed bound {guaranteed}"
-            f" at eps={eps}, n={stats.n}"
-        )
+        if frac < guaranteed:
+            raise InvariantError(
+                f"measured fraction {frac} below guaranteed bound {guaranteed}"
+                f" at eps={eps}, n={stats.n}"
+            )
         rows.append((eps, frac, guaranteed))
     return tuple(rows)
 

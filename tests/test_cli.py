@@ -13,7 +13,7 @@ import permstats
 from permstats import oracle
 from permstats.cli import parse_permutation_text, run
 from permstats.core import Permutation
-from permstats.sampling import displacement_sums
+from permstats.sampling import ConcentrationBound, displacement_sums
 
 
 def invoke(capsys, *argv):
@@ -285,6 +285,30 @@ class TestVerifyFailures:
         )
 
 
+    def test_improver_error_fails_its_check(self, capsys, monkeypatch):
+        # is_crossing wrongly calls crossing words starting with 1 non-crossing,
+        # so the walk hands crossing words to improve_noncrossing, which raises
+        crossing = oracle.is_crossing
+
+        def faulty(p):
+            found, witness = crossing(p)
+            return found and p.image[0] != 1, witness
+
+        monkeypatch.setattr(oracle, "is_crossing", faulty)
+        code, report = invoke_json(capsys, "verify", "--max-n", "6")
+        assert code == 1 and report["status"] == "failed"
+        checks = {c["name"]: c for c in report["results"]["checks"]}
+        assert checks["noncrossing-improvement"] == {
+            "name": "noncrossing-improvement",
+            "ok": False,
+            "detail": "n=1: improvement raised at (1,):"
+            " crossing permutation: displacement is already maximal",
+        }
+
+
+SAMPLE_ARGV = ["sample", "--n", "20", "--trials", "50", "--seed", "3"]
+
+
 class TestSample:
     def test_json(self, capsys):
         code, report = invoke_json(
@@ -347,6 +371,57 @@ class TestSample:
             capsys, "sample", "--n", "10", "--trials", "10", "--epsilons", " , "
         )
         assert code == 2
+
+    def test_out_of_memory_is_usage_error(self):
+        # The address-space limit makes the allocation fail whatever the
+        # machine's overcommit policy, so nothing large is ever touched.
+        resource = pytest.importorskip("resource")
+        limit = 2**31
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "permstats.cli",
+             "sample", "--n", "100000000000", "--trials", "1"],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_bound_violation_fails(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(ConcentrationBound, "bound", lambda self, eps, n: 1.0)
+        code, out, err = invoke(capsys, *SAMPLE_ARGV, "--format", fmt)
+        assert code == 1 and err == ""
+        assert "below guaranteed bound 1.0" in out
+        if fmt == "json":
+            report = json.loads(out)
+            assert report["status"] == "failed"
+            assert report["results"]["error"].startswith("measured fraction ")
+        elif fmt == "text":
+            assert out.startswith("sample (n=20, status=failed)\nerror: measured fraction ")
+        else:
+            assert out.startswith("key,value\nerror,measured fraction ")
+
+    def test_bound_violation_fails_under_optimize(self):
+        # -O strips assert statements; the concentration check must survive
+        code = (
+            "import sys; from permstats import cli, sampling; "
+            "sampling.ConcentrationBound.bound = lambda self, eps, n: 1.0; "
+            f"sys.exit(cli.run({SAMPLE_ARGV + ['--format', 'json']!r}))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 1 and proc.stderr == ""
+        report = json.loads(proc.stdout)
+        assert report["status"] == "failed"
+        assert "below guaranteed bound 1.0" in report["results"]["error"]
 
 
 class TestImprove:

@@ -1,12 +1,17 @@
 """Seeded sampling: reproducibility, uniformity, summaries, concentration."""
 
+import hashlib
 import math
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from permstats.core import Permutation, average_displacement_exact, displacement
+from permstats.cli import run
+from permstats.core import InvariantError, Permutation, average_displacement_exact, displacement
 from permstats.sampling import (
     HISTOGRAM_BINS,
     ConcentrationBound,
@@ -22,6 +27,85 @@ from permstats.sampling import (
 # sample standard deviations of d(pi) measured once at 2*10^4 trials; the
 # convergence tolerances below are 3*s/sqrt(trials)
 PILOT_STD = {10: 0.7143, 100: 2.1207, 1000: 6.6589}
+
+SEEDS = (0, 1, 2**63, 2**64 - 1)
+
+
+def reference_word(n, seed, index):
+    """Trial index of seed as the sampler first drew it: a fresh Philox per trial."""
+    generator = np.random.Generator(np.random.Philox(key=seed, counter=index << 64))
+    return generator.permutation(n) + 1
+
+
+def reference_displacement_sums(n, trials, seed):
+    """The original displacement_sums loop, kept as the oracle for the shared stream."""
+    idx = np.arange(1, n + 1, dtype=np.int64)
+    out = np.empty(trials, dtype=np.int64)
+    for t in range(trials):
+        out[t] = np.abs(reference_word(n, seed, t) - idx).sum()
+    return out
+
+
+def reference_fraction(sums, n, median_sum, eps):
+    """The original per-sample Fraction test of |s/n^2 - med/n^2| <= eps."""
+    bound = Fraction(eps) * n * n
+    hit = sum(
+        1 for s in sums if abs(int(s) - median_sum) * bound.denominator <= bound.numerator
+    )
+    return Fraction(hit, len(sums))
+
+
+class TestReferenceStream:
+    # The shared, rewound Philox must reproduce the fresh-Philox-per-trial stream.
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n,trials", [(1, 50), (2, 500), (10, 500), (100, 500), (1000, 200)])
+    def test_displacement_sums_match_reference(self, n, trials, seed):
+        assert np.array_equal(
+            displacement_sums(n, trials, seed), reference_displacement_sums(n, trials, seed)
+        )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", [1, 2, 10, 100])
+    def test_sample_uniform_is_trial(self, n, seed):
+        # indices past 2**64 spill into counter words 2 and 3, as index << 64 does
+        for index in (0, 1, 499, 2**64 - 1, 2**64, 2**130 + 5, 2**192 - 1):
+            want = tuple(int(v) for v in reference_word(n, seed, index))
+            assert sample_uniform(n, seed, index).image == want
+
+    def test_golden_cli_output(self, capsys):
+        # stdout recorded from the fresh-Philox-per-trial sampler
+        assert run(["sample", "--n", "10", "--trials", "2000", "--seed", "7",
+                    "--format", "json"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "06770601f61c811a31a34a708b84d94e84df8245c7cc05530375bbdeadac4f88"
+
+    @pytest.mark.parametrize("n,trials,seed", [(10, 2000, 7), (1000, 300, 2**64 - 1)])
+    def test_edge_epsilons_match_fraction_loop(self, n, trials, seed):
+        epsilons = (0, -1, 1e30, -1e30, Fraction(1, 10), Fraction(1, 3))
+        stats = empirical_stats(n, trials, seed, epsilons=epsilons)
+        sums = reference_displacement_sums(n, trials, seed)
+        median_sum = int(np.sort(sums)[(trials - 1) // 2])
+        for eps in epsilons:
+            want = reference_fraction(sums, n, median_sum, eps)
+            assert stats.fractions[Fraction(eps)] == want
+        assert stats.fractions[Fraction(1e30)] == 1
+        assert stats.fractions[Fraction(-1)] == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.sampled_from([3, 10, 40]),
+        eps=st.one_of(
+            st.fractions(min_value=-1, max_value=1, max_denominator=10**6),
+            st.integers(-5, 400).map(lambda k: Fraction(k, 1600)),  # eps*n^2 often integral
+        ),
+    )
+    def test_epsilon_count_matches_fraction_loop(self, n, eps):
+        trials, seed = 120, 11
+        stats = empirical_stats(n, trials, seed, epsilons=(eps,))
+        sums = reference_displacement_sums(n, trials, seed)
+        median_sum = int(np.sort(sums)[(trials - 1) // 2])
+        assert stats.fractions[eps] == reference_fraction(sums, n, median_sum, eps)
 
 
 class TestSampleUniform:
@@ -49,6 +133,8 @@ class TestSampleUniform:
             sample_uniform(3, 2**64)
         with pytest.raises(ValueError):
             sample_uniform(3, 1, -2)
+        with pytest.raises(ValueError):
+            sample_uniform(3, 1, 2**192)
 
     def test_uniform_chi_square(self):
         # 6000 draws over S_3: chi-square on 6 cells, critical value 20.515
@@ -136,6 +222,30 @@ class TestFractionInInterval:
     def test_empty_interval(self):
         assert fraction_in_interval(6, 40, 9, 100, 200) == 0
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 7, 30]),
+        lo=st.one_of(
+            st.fractions(min_value=-20, max_value=40, max_denominator=50),
+            st.integers(-30, 900),  # used as lo*n = k: integral endpoints
+        ),
+        hi=st.one_of(
+            st.fractions(min_value=-20, max_value=40, max_denominator=50),
+            st.integers(-30, 900),
+        ),
+    )
+    def test_matches_fraction_definition(self, n, lo, hi):
+        if isinstance(lo, int):
+            lo = Fraction(lo, n)
+        if isinstance(hi, int):
+            hi = Fraction(hi, n)
+        trials, seed = 80, 4
+        sums = displacement_sums(n, trials, seed)
+        want = Fraction(sum(1 for s in sums if lo * n < int(s) < hi * n), trials)
+        assert fraction_in_interval(n, trials, seed, lo, hi) == want
+        if lo >= hi:
+            assert want == 0
+
 
 class TestConcentration:
     def test_bound_values(self):
@@ -165,6 +275,8 @@ class TestConcentration:
             fractions={Fraction(1, 2): Fraction(0)},
         )
         with pytest.raises(AssertionError):
+            concentration_report(fake)
+        with pytest.raises(InvariantError, match="below guaranteed bound"):
             concentration_report(fake)
 
 
