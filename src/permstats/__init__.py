@@ -45,9 +45,7 @@ from .stretch import (
 )
 from .cycles import (
     CycleWithStart,
-    JumpClass,
     best_unrolling,
-    classify_jumps,
     cycle_stat,
     cycle_to_perm,
     find_improvement,
@@ -99,13 +97,11 @@ __all__ = [
     "max_multiplicative_stretch",
     "multiplicative_maximizers",
     "CycleWithStart",
-    "JumpClass",
     "perm_to_cycle",
     "cycle_to_perm",
     "best_unrolling",
     "cycle_stat",
     "two_opt",
-    "classify_jumps",
     "find_improvement",
     "ArgmaxReport",
     "brute_argmax",

@@ -9,7 +9,8 @@ One logical command per invocation:
   sample     seeded Monte Carlo displacement summary with concentration bounds
   improve    repeated local improvement, printing the trajectory
 
-Exit codes: 0 success, 1 failed verification, 2 usage or input error.
+Exit codes: 0 success, 1 failed verification or failed self-check (an
+`InvariantError`, reported with status "failed"), 2 usage or input error.
 Rationals are printed as "p/q", root-products as a product/root pair, and
 permutations in a form that --perm accepts back verbatim.
 """
@@ -39,7 +40,9 @@ from .extremal import (
     is_crossing,
     max_displacement,
 )
-from .cycles import best_unrolling, cycle_stat, find_improvement, perm_to_cycle
+from .cycles import (
+    CycleWithStart, best_unrolling, cycle_stat, find_improvement, perm_to_cycle,
+)
 from .oracle import verify
 from .sampling import ConcentrationBound, concentration_report, empirical_stats
 from .stretch import (
@@ -242,11 +245,7 @@ def _cmd_sample(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
         stats = empirical_stats(args.n, args.trials, args.seed, epsilons)
     except (ValueError, MemoryError) as exc:
         raise UsageError(str(exc) or "out of memory") from None
-    try:
-        rows = concentration_report(stats, ConcentrationBound())
-    except InvariantError as exc:
-        results = {"error": str(exc)}
-        return 1, {"command": "sample", "n": args.n, "results": results, "status": "failed"}
+    rows = concentration_report(stats, ConcentrationBound())
     results = {
         "trials": stats.trials,
         "seed": stats.seed,
@@ -259,29 +258,29 @@ def _cmd_sample(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     return 0, {"command": "sample", "n": args.n, "results": results, "status": "ok"}
 
 
+def _disp_entry(p: Permutation) -> dict[str, Any]:
+    return {"perm": _word(p), "value": _frac(displacement(p))}
+
+
+def _s_star_entry(c: CycleWithStart) -> dict[str, Any]:
+    return {"perm": _word(best_unrolling(c)), "value": _product(cycle_stat(c))}
+
+
 def _cmd_improve(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
+    # Both local searches share one contract: step(state) is the next state,
+    # or None once no move applies.
     p = _input_permutation(args)
-    stat = args.stat
-    trajectory: list[dict[str, Any]]
-    if stat == "disp":
-        trajectory = [{"perm": _word(p), "value": _frac(displacement(p))}]
-        while not is_crossing(p)[0]:
-            p = improve_noncrossing(p)
-            trajectory.append({"perm": _word(p), "value": _frac(displacement(p))})
+    if args.stat == "disp":
+        state, step, entry = p, improve_noncrossing, _disp_entry
+    elif p.n < 2:
+        raise UsageError("s-star improvement needs n >= 2")
     else:
-        if p.n < 2:
-            raise UsageError("s-star improvement needs n >= 2")
-        cyc = perm_to_cycle(p)
-        trajectory = [
-            {"perm": _word(best_unrolling(cyc)), "value": _product(cycle_stat(cyc))}
-        ]
-        while (better := find_improvement(cyc)) is not None:
-            cyc = better
-            trajectory.append(
-                {"perm": _word(best_unrolling(cyc)), "value": _product(cycle_stat(cyc))}
-            )
+        state, step, entry = perm_to_cycle(p), find_improvement, _s_star_entry
+    trajectory = [entry(state)]
+    while (state := step(state)) is not None:
+        trajectory.append(entry(state))
     results = {
-        "stat": stat,
+        "stat": args.stat,
         "steps": len(trajectory) - 1,
         "trajectory": trajectory,
     }
@@ -295,7 +294,9 @@ def _render_text(report: dict[str, Any]) -> str:
     cmd = report["command"]
     results = report["results"]
     lines = [f"{cmd} (n={report['n']}, status={report['status']})"]
-    if cmd == "verify":
+    if "error" in results:
+        lines.append(f"error: {results['error']}")
+    elif cmd == "verify":
         for check in results["checks"]:
             tag = "PASS" if check["ok"] else "FAIL"
             lines.append(f"{tag} {check['name']}: {check['detail']}")
@@ -305,7 +306,7 @@ def _render_text(report: dict[str, Any]) -> str:
             word = " ".join(str(v) for v in step["perm"])
             lines.append(f"step {k}: {word}  value {_render_value(step['value'])}")
         lines.append(f"steps: {results['steps']}")
-    elif cmd == "sample" and report["status"] == "ok":
+    elif cmd == "sample":
         for key in ("trials", "seed", "mean", "median"):
             lines.append(f"{key}: {results[key]}")
         for eps in results["fractions"]:
@@ -335,12 +336,13 @@ def _render_value(value: Any) -> str:
 
 def _render_csv(report: dict[str, Any]) -> str:
     results = report["results"]
-    if report["command"] == "sample" and report["status"] == "ok":
+    cmd = None if "error" in results else report["command"]
+    if cmd == "sample":
         lines = ["bin_lo,bin_hi,count"]
         for lo, hi, count in results["histogram"]:
             lines.append(f"{lo!r},{hi!r},{count}")
         return "\n".join(lines)
-    if report["command"] == "verify":
+    if cmd == "verify":
         lines = ["name,ok,detail"]
         for check in results["checks"]:
             detail = str(check["detail"]).replace(",", ";")
@@ -429,6 +431,13 @@ def run(argv: list[str]) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        # a self-check failed: a failed run, reported like a failed verification
+        n = getattr(args, "n", getattr(args, "max_n", None))
+        results = {"error": str(exc)}
+        code, report = 1, {
+            "command": args.command, "n": n, "results": results, "status": "failed"
+        }
     _emit(report, args.format)
     return code
 

@@ -32,31 +32,27 @@ matches one of the local configurations that provably increase s(rho):
 
 Absence of a match does not certify maximality; the guarantee is only that
 every returned cycle has a strictly larger statistic.  One step of
-`find_improvement` costs O(n^2).
+`find_improvement` costs O(n^2).  Its test oracle,
+`reference_find_improvement` in tests/test_cycles.py, classifies every jump
+pair with a classifier of its own and must pick the same rewiring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Mapping
+from typing import Mapping
 
-from .core import Permutation
+from .core import InvariantError, Permutation
 from .stretch import ProductValue
 
 __all__ = [
     "CycleWithStart",
-    "JumpClass",
     "perm_to_cycle",
     "cycle_to_perm",
     "best_unrolling",
     "cycle_stat",
     "two_opt",
-    "classify_jumps",
     "find_improvement",
-]
-
-JumpRelation = Literal[
-    "shared-endpoint", "disjoint", "skips", "bridges", "nontrivial-intersection"
 ]
 
 
@@ -186,64 +182,6 @@ def two_opt(c: CycleWithStart, a: int, b: int) -> CycleWithStart:
     return CycleWithStart(c.n, tuple(succ), c.start)
 
 
-def _span(a: int, ra: int) -> tuple[int, int]:
-    return (a, ra) if a < ra else (ra, a)
-
-
-@dataclass(frozen=True)
-class JumpClass:
-    """How the closed intervals of two jumps sit relative to each other.
-
-    relation is one of:
-      shared-endpoint          fewer than 4 distinct endpoints, no containment
-      skips                    one interval contains the other, an endpoint shared
-      disjoint                 the intervals do not meet
-      bridges                  one interval contains the other, endpoints distinct
-      nontrivial-intersection  the intervals overlap part-way, endpoints distinct
-
-    (Every jump also skips over itself, but a pair must be two distinct
-    jumps, so the reflexive case never reaches this classifier.)  direction
-    is "same" when both jumps move the same way, "opposite" otherwise.  A
-    jump is short when its length is minimal over the whole cycle.
-    """
-
-    relation: JumpRelation
-    direction: Literal["same", "opposite"]
-    first_short: bool
-    second_short: bool
-
-
-def _relation(lo1: int, hi1: int, lo2: int, hi2: int, distinct: bool) -> JumpRelation:
-    """The JumpClass relation of jump spans [lo1, hi1] and [lo2, hi2].
-
-    distinct says whether the two jumps have four distinct endpoints.
-    """
-    contained = (lo1 <= lo2 and hi2 <= hi1) or (lo2 <= lo1 and hi1 <= hi2)
-    if not distinct:
-        return "skips" if contained else "shared-endpoint"
-    if hi1 < lo2 or hi2 < lo1:
-        return "disjoint"
-    return "bridges" if contained else "nontrivial-intersection"
-
-
-def classify_jumps(c: CycleWithStart, a: int, b: int) -> JumpClass:
-    """Classify the jump pair (a -> rho(a), b -> rho(b)); requires a != b."""
-    if a == b:
-        raise ValueError("classification needs two distinct jumps")
-    ra, rb = c.successor_of(a), c.successor_of(b)
-    relation = _relation(*_span(a, ra), *_span(b, rb), len({a, ra, b, rb}) == 4)
-    direction: Literal["same", "opposite"] = (
-        "same" if (ra - a) * (rb - b) > 0 else "opposite"
-    )
-    shortest = min(c.jump_lengths())
-    return JumpClass(
-        relation=relation,
-        direction=direction,
-        first_short=abs(ra - a) == shortest,
-        second_short=abs(rb - b) == shortest,
-    )
-
-
 def find_improvement(c: CycleWithStart) -> CycleWithStart | None:
     """One rewiring that strictly increases cycle_stat, if a pattern matches.
 
@@ -254,10 +192,10 @@ def find_improvement(c: CycleWithStart) -> CycleWithStart | None:
     maximal.
 
     A step costs O(n^2): spans, directions and the shortest jump length are
-    computed once per call, and a scan classifies each pair in O(1) when it
-    reaches it.  The scan order and the first-match rule are unchanged from
-    the O(n^3) version that ran classify_jumps on every pair up front, so
-    each step returns the same cycle as that version did.
+    computed once per call, and a scan tests each pair in O(1) when it
+    reaches it.  The O(n^3) version that classified every pair up front is
+    kept as `reference_find_improvement` in tests/test_cycles.py, and each
+    step returns the same cycle as it does.
     """
     n = c.n
     if n < 4:
@@ -269,34 +207,42 @@ def find_improvement(c: CycleWithStart) -> CycleWithStart | None:
     hi = [max(k, s) for k, s in enumerate(succ)]
     up = [s > k for k, s in enumerate(succ)]
 
-    def relation(a: int, b: int) -> JumpRelation:
-        return _relation(lo[a], hi[a], lo[b], hi[b], True)
+    # With four distinct endpoints two spans are disjoint, or one strictly
+    # contains the other (the outer jump bridges the inner one), or they
+    # intersect part-way.
+    def disjoint(a: int, b: int) -> bool:
+        return hi[a] < lo[b] or hi[b] < lo[a]
+
+    def inner(a: int, b: int) -> int | None:
+        # the jump whose span lies strictly inside the other's, if either does
+        if lo[a] < lo[b] and hi[b] < hi[a]:
+            return b
+        if lo[b] < lo[a] and hi[a] < hi[b]:
+            return a
+        return None
 
     def rewire(a: int, b: int) -> CycleWithStart:
         improved = two_opt(c, a, b)
         if not cycle_stat(improved) > cycle_stat(c):
-            raise AssertionError(
+            raise InvariantError(
                 f"rewiring ({a}, {b}) failed to improve {c.successor}"
             )
         return improved
 
     rules = (
         # (i) disjoint, same direction: both new jumps are strictly longer.
-        lambda a, b: up[a] == up[b] and relation(a, b) == "disjoint",
+        lambda a, b: up[a] == up[b] and disjoint(a, b),
         # (ii) a short jump meeting an opposite jump part-way: one of the two
         # new jumps always outgrows the replaced long one, in all four
         # orientations.
         lambda a, b: (
             (short[a] or short[b])
             and up[a] != up[b]
-            and relation(a, b) == "nontrivial-intersection"
+            and not disjoint(a, b)
+            and inner(a, b) is None
         ),
         # (iii) a short jump disjoint from an opposite jump: same argument.
-        lambda a, b: (
-            (short[a] or short[b])
-            and up[a] != up[b]
-            and relation(a, b) == "disjoint"
-        ),
+        lambda a, b: (short[a] or short[b]) and up[a] != up[b] and disjoint(a, b),
         # (iv) disjoint opposite pairs with neither jump short reduce to a
         # (i)/(ii)/(iii) witness built around a shortest jump; the scans above
         # are exhaustive, so there is nothing new to rewire here.
@@ -304,9 +250,7 @@ def find_improvement(c: CycleWithStart) -> CycleWithStart | None:
         # (v) a jump bridging a longer-than-minimal opposite jump: the two lost
         # lengths y and x+y+z return as x+y and y+z, and (x+y)(y+z) > y(x+y+z).
         lambda a, b: (
-            up[a] != up[b]
-            and relation(a, b) == "bridges"
-            and not short[b if lo[a] <= lo[b] and hi[b] <= hi[a] else a]
+            up[a] != up[b] and (k := inner(a, b)) is not None and not short[k]
         ),
     )
     for rule in rules:

@@ -9,8 +9,8 @@ displacement, and they admit a clean image-set description:
   n = 2m + 1:  pi maps {1..m} into {m+1..n} and {m+2..n} into {1..m+1}.
 
 `is_crossing` runs both the interval test and the image-set test and insists
-they agree, so a bug in either one trips an assertion rather than returning a
-wrong answer.
+they agree, so a bug in either one raises `InvariantError` rather than
+returning a wrong answer.
 
 A noncrossing permutation always has two disjoint intervals, and composing
 with that transposition strictly increases displacement (`improve_noncrossing`).
@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Permutation
+from .core import InvariantError, Permutation
 
 __all__ = [
     "CrossingWitness",
@@ -78,9 +78,8 @@ def is_crossing(p: Permutation) -> tuple[bool, CrossingWitness | None]:
     (False, CrossingWitness(i=1, j=2))
     """
     witness = _disjoint_pair(p)
-    assert (witness is None) == _crossing_by_image_sets(p), (
-        f"interval test and image-set test disagree on {p.image}"
-    )
+    if (witness is None) != _crossing_by_image_sets(p):
+        raise InvariantError(f"interval test and image-set test disagree on {p.image}")
     return witness is None, witness
 
 
@@ -117,21 +116,22 @@ def count_max_displacement(n: int) -> int:
     return f * f if n % 2 == 0 else (2 * m + 1) * f * f
 
 
-def improve_noncrossing(p: Permutation) -> Permutation:
-    """Strictly increase displacement by one transposition.
+def improve_noncrossing(p: Permutation) -> Permutation | None:
+    """Strictly increase displacement by one transposition, or return None.
 
     Uses the first disjoint-interval pair (i, j) and returns p composed with
     the transposition (i j) applied first, i.e. the images at positions i and
-    j are swapped.  Raises ValueError on a crossing permutation, whose
+    j are swapped.  Returns None on a crossing permutation, whose
     displacement is already maximal.
 
     >>> improve_noncrossing(Permutation((1, 3, 2))).image
     (3, 1, 2)
+    >>> improve_noncrossing(Permutation((2, 1))) is None
+    True
     """
-    crossing, witness = is_crossing(p)
-    if crossing:
-        raise ValueError("crossing permutation: displacement is already maximal")
-    assert witness is not None
+    witness = is_crossing(p)[1]
+    if witness is None:
+        return None
     img = list(p.image)
     img[witness.i - 1], img[witness.j - 1] = img[witness.j - 1], img[witness.i - 1]
     return Permutation(tuple(img))

@@ -203,12 +203,13 @@ def _failures(n: int) -> Iterator[tuple[str, str]]:
             prods.add(_gap_product(word), word)
             if is_additive_maximizer(p) != (g == gap_max):
                 fail("additive-stretch", f"maximizer test disagrees with argmax at {word}")
-        if n <= 7 and not crossing:
-            try:
-                if displacement(improve_noncrossing(p)) <= displacement(p):
-                    fail("noncrossing-improvement", f"no strict increase at {word}")
-            except ValueError as exc:  # the improver disagrees with is_crossing
-                fail("noncrossing-improvement", f"improvement raised at {word}: {exc}")
+        if n <= 7:
+            better = improve_noncrossing(p)
+            if (better is None) != crossing:
+                fail("noncrossing-improvement",
+                     f"improver disagrees with crossing test at {word}")
+            elif better is not None and displacement(better) <= displacement(p):
+                fail("noncrossing-improvement", f"no strict increase at {word}")
 
     got, want = Fraction(total, math.factorial(n) * n), average_displacement_exact(n)
     if got != want:

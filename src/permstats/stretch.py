@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .core import Permutation, complement, reverse
+from .core import InvariantError, Permutation, complement, reverse
 
 __all__ = [
     "IntervalFamily",
@@ -303,7 +303,8 @@ def _odd_base_word(m: int) -> Permutation:
     while len(img) < n:
         img.append(succ[img[-1]])
     p = Permutation(tuple(img))
-    assert p(n) == m, f"cycle construction broken for m={m}"
+    if p(n) != m:
+        raise InvariantError(f"cycle construction broken for m={m}")
     return p
 
 
@@ -324,5 +325,6 @@ def multiplicative_maximizers(n: int) -> list[Permutation]:
     else:
         base = _odd_base_word(m)
         perms = {base, reverse(base), complement(base), reverse(complement(base))}
-        assert len(perms) == 4, f"expected 4 distinct maximizers for n={n}"
+        if len(perms) != 4:
+            raise InvariantError(f"expected 4 distinct maximizers for n={n}")
     return sorted(perms)

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: formats, exit codes, round trips."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import permstats
-from permstats import oracle
+from permstats import extremal, oracle
 from permstats.cli import parse_permutation_text, run
 from permstats.core import Permutation
 from permstats.sampling import ConcentrationBound, displacement_sums
@@ -287,7 +288,7 @@ class TestVerifyFailures:
 
     def test_improver_error_fails_its_check(self, capsys, monkeypatch):
         # is_crossing wrongly calls crossing words starting with 1 non-crossing,
-        # so the walk hands crossing words to improve_noncrossing, which raises
+        # while improve_noncrossing, which runs the real test, returns None
         crossing = oracle.is_crossing
 
         def faulty(p):
@@ -301,9 +302,17 @@ class TestVerifyFailures:
         assert checks["noncrossing-improvement"] == {
             "name": "noncrossing-improvement",
             "ok": False,
-            "detail": "n=1: improvement raised at (1,):"
-            " crossing permutation: displacement is already maximal",
+            "detail": "n=1: improver disagrees with crossing test at (1,)",
         }
+
+    def test_improver_moves_a_crossing_word(self, capsys, monkeypatch):
+        improve = oracle.improve_noncrossing
+        monkeypatch.setattr(oracle, "improve_noncrossing", lambda p: improve(p) or p)
+        self.assert_only_failure(
+            capsys,
+            "noncrossing-improvement",
+            "n=1: improver disagrees with crossing test at (1,)",
+        )
 
 
 SAMPLE_ARGV = ["sample", "--n", "20", "--trials", "50", "--seed", "3"]
@@ -424,6 +433,13 @@ class TestSample:
         assert "below guaranteed bound 1.0" in report["results"]["error"]
 
 
+WORD_60 = (
+    "13 34 30 37 45 43 48 6 8 51 56 59 24 28 29 60 1 2 42 39 15 16 52 47 21 36 11 46 12 4"
+    " 18 58 22 5 41 50 10 35 54 40 7 44 19 9 53 14 38 23 31 20 26 32 33 17 3 27 57 49 25 55"
+)
+WORD_30 = "4 11 19 18 6 1 8 27 30 15 21 26 22 3 20 5 24 7 12 23 10 29 16 17 9 2 14 25 13 28"
+
+
 class TestImprove:
     def test_disp_trajectory(self, capsys):
         code, report = invoke_json(capsys, "improve", "--perm", "1 2 3 4")
@@ -476,9 +492,10 @@ class TestImprove:
         assert code == 2
         assert "invalid choice" in err
 
-    def test_s_star_same_output_under_optimize(self):
+    @pytest.mark.parametrize("stat", ["s-star", "disp"])
+    def test_same_output_under_optimize(self, stat):
         # -O strips assert statements; the search must not depend on one
-        argv = ["-m", "permstats.cli", "improve", "--stat", "s-star",
+        argv = ["-m", "permstats.cli", "improve", "--stat", stat,
                 "--perm", "7 3 11 1 9 12 5 2 10 4 8 6", "--format", "json"]
         plain, optimized = (
             subprocess.run(
@@ -505,13 +522,98 @@ class TestImprove:
             env=child_env(),
         )
         assert proc.returncode == 1
-        assert "AssertionError: rewiring (1, 3) failed to improve" in proc.stderr
+        assert "InvariantError: rewiring (1, 3) failed to improve" in proc.stderr
+
+    @pytest.mark.parametrize("stat, word, digest", [
+        ("disp", WORD_60, "0d7343e56ed10947512659882f1415ffde09b87d71cd5d4e642fbcfc7814056e"),
+        ("s-star", WORD_30, "94bfe1d364164ad7fa0fc2693e59ec0cd5d62ea4148a8590d8ff3a3b6189870e"),
+    ], ids=["disp", "s-star"])
+    def test_pinned_output(self, capsys, stat, word, digest):
+        # digests of the output before both searches shared one step loop
+        code, out, err = invoke(capsys, "improve", "--stat", stat, "--perm", word,
+                                "--format", "json")
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_disp_scans_once_per_step(self, capsys, monkeypatch):
+        # one crossing scan per improvement step, plus the one that finds none
+        scans = []
+        disjoint_pair = extremal._disjoint_pair
+
+        def counting(p):
+            scans.append(p)
+            return disjoint_pair(p)
+
+        monkeypatch.setattr(extremal, "_disjoint_pair", counting)
+        code, report = invoke_json(capsys, "improve", "--stat", "disp", "--perm", WORD_60)
+        assert code == 0
+        assert len(scans) == report["results"]["steps"] + 1 == 154
 
     def test_text(self, capsys):
         code, out, err = invoke(capsys, "improve", "--perm", "2 1 3 4")
         assert code == 0
         assert out.startswith("improve (n=4")
         assert "step 0: 2 1 3 4" in out
+
+
+class TestInvariantFailures:
+    # A failed self-check anywhere in a command is exit 1 with status "failed"
+    # and the message as the only result, never a traceback.
+    ARGVS = {
+        "metrics": ["metrics", "--perm", "2 1 3"],
+        "improve": ["improve", "--stat", "disp", "--perm", "2 1 3"],
+        "verify": ["verify", "--max-n", "3"],
+    }
+    MESSAGE = "interval test and image-set test disagree on "
+
+    @pytest.fixture
+    def disagreeing(self, monkeypatch):
+        by_image_sets = extremal._crossing_by_image_sets
+        monkeypatch.setattr(extremal, "_crossing_by_image_sets", lambda p: not by_image_sets(p))
+
+    @pytest.mark.parametrize("command", ARGVS)
+    def test_json(self, capsys, disagreeing, command):
+        code, report = invoke_json(capsys, *self.ARGVS[command])
+        assert code == 1
+        assert report == {
+            "command": command,
+            "n": 3 if command == "verify" else None,
+            "results": {"error": report["results"]["error"]},
+            "status": "failed",
+        }
+        assert report["results"]["error"].startswith(self.MESSAGE)
+
+    @pytest.mark.parametrize("command", ARGVS)
+    def test_text_and_csv(self, capsys, disagreeing, command):
+        code, out, err = invoke(capsys, *self.ARGVS[command], "--format", "text")
+        assert code == 1 and err == ""
+        n = 3 if command == "verify" else None
+        assert out.startswith(f"{command} (n={n}, status=failed)\nerror: {self.MESSAGE}")
+        assert out.count("\n") == 2
+        code, out, err = invoke(capsys, *self.ARGVS[command], "--format", "csv")
+        assert code == 1 and err == ""
+        assert out.startswith(f"key,value\nerror,{self.MESSAGE}")
+        assert out.count("\n") == 2
+
+    @pytest.mark.parametrize("command", ["metrics", "improve"])
+    def test_under_optimize(self, command):
+        # -O strips assert statements; the self-check must survive it
+        code = (
+            "import sys; from permstats import cli, extremal; "
+            "f = extremal._crossing_by_image_sets; "
+            "extremal._crossing_by_image_sets = lambda p: not f(p); "
+            f"sys.exit(cli.run({self.ARGVS[command] + ['--format', 'json']!r}))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 1 and proc.stderr == ""
+        report = json.loads(proc.stdout)
+        assert report["status"] == "failed"
+        assert report["results"]["error"].startswith(self.MESSAGE)
 
 
 # src/ holding the package under test, and the repo root holding pyproject.toml;

@@ -2,8 +2,10 @@
 
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from typing import Literal
 
 import pytest
 
@@ -12,7 +14,6 @@ from permstats.core import Permutation
 from permstats.cycles import (
     CycleWithStart,
     best_unrolling,
-    classify_jumps,
     cycle_stat,
     cycle_to_perm,
     find_improvement,
@@ -51,6 +52,72 @@ def gap_product(p):
     for k in range(p.n - 1):
         out *= abs(p.image[k + 1] - p.image[k])
     return out
+
+
+# The jump classifier behind reference_find_improvement.  The library scan
+# shares none of it, so the two decide each rule independently.
+
+JumpRelation = Literal[
+    "shared-endpoint", "disjoint", "skips", "bridges", "nontrivial-intersection"
+]
+
+
+def _span(a: int, ra: int) -> tuple[int, int]:
+    return (a, ra) if a < ra else (ra, a)
+
+
+@dataclass(frozen=True)
+class JumpClass:
+    """How the closed intervals of two jumps sit relative to each other.
+
+    relation is one of:
+      shared-endpoint          fewer than 4 distinct endpoints, no containment
+      skips                    one interval contains the other, an endpoint shared
+      disjoint                 the intervals do not meet
+      bridges                  one interval contains the other, endpoints distinct
+      nontrivial-intersection  the intervals overlap part-way, endpoints distinct
+
+    (Every jump also skips over itself, but a pair must be two distinct
+    jumps, so the reflexive case never reaches this classifier.)  direction
+    is "same" when both jumps move the same way, "opposite" otherwise.  A
+    jump is short when its length is minimal over the whole cycle.
+    """
+
+    relation: JumpRelation
+    direction: Literal["same", "opposite"]
+    first_short: bool
+    second_short: bool
+
+
+def _relation(lo1: int, hi1: int, lo2: int, hi2: int, distinct: bool) -> JumpRelation:
+    """The JumpClass relation of jump spans [lo1, hi1] and [lo2, hi2].
+
+    distinct says whether the two jumps have four distinct endpoints.
+    """
+    contained = (lo1 <= lo2 and hi2 <= hi1) or (lo2 <= lo1 and hi1 <= hi2)
+    if not distinct:
+        return "skips" if contained else "shared-endpoint"
+    if hi1 < lo2 or hi2 < lo1:
+        return "disjoint"
+    return "bridges" if contained else "nontrivial-intersection"
+
+
+def classify_jumps(c: CycleWithStart, a: int, b: int) -> JumpClass:
+    """Classify the jump pair (a -> rho(a), b -> rho(b)); requires a != b."""
+    if a == b:
+        raise ValueError("classification needs two distinct jumps")
+    ra, rb = c.successor_of(a), c.successor_of(b)
+    relation = _relation(*_span(a, ra), *_span(b, rb), len({a, ra, b, rb}) == 4)
+    direction: Literal["same", "opposite"] = (
+        "same" if (ra - a) * (rb - b) > 0 else "opposite"
+    )
+    shortest = min(c.jump_lengths())
+    return JumpClass(
+        relation=relation,
+        direction=direction,
+        first_short=abs(ra - a) == shortest,
+        second_short=abs(rb - b) == shortest,
+    )
 
 
 def reference_find_improvement(c):
