@@ -125,7 +125,7 @@ def _parse_fraction(text: str, what: str) -> Fraction:
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_metrics(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
+def _cmd_metrics(args: argparse.Namespace) -> tuple[int, dict[str, Any], bool]:
     p = _input_permutation(args)
     crossing, witness = is_crossing(p)
     results: dict[str, Any] = {
@@ -143,7 +143,7 @@ def _cmd_metrics(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
         results["s_star"] = _product(stretch_multiplicative(pairs, p))
         results["spread"] = spread(p)
         results["dispersion"] = _frac(dispersion(p))
-    return 0, {"command": "metrics", "n": p.n, "results": results, "status": "ok"}
+    return p.n, results, True
 
 
 def _crossing_example(n: int) -> Permutation:
@@ -157,7 +157,7 @@ def _crossing_example(n: int) -> Permutation:
     return Permutation(tuple(img))
 
 
-def _cmd_extremal(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
+def _cmd_extremal(args: argparse.Namespace) -> tuple[int, dict[str, Any], bool]:
     n = args.n
     if n is None:
         raise UsageError("extremal requires --n")
@@ -187,10 +187,10 @@ def _cmd_extremal(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
             "max": _product(max_multiplicative_stretch(n)),
             "maximizers": [_word(p) for p in multiplicative_maximizers(n)],
         }
-    return 0, {"command": "extremal", "n": n, "results": results, "status": "ok"}
+    return n, results, True
 
 
-def _cmd_construct(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
+def _cmd_construct(args: argparse.Namespace) -> tuple[int, dict[str, Any], bool]:
     if args.n is None:
         raise UsageError("construct requires --n")
     if args.displacement is None:
@@ -208,22 +208,16 @@ def _cmd_construct(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
         "max_error": _frac(Fraction(2, args.n)),
         "within_bound": abs(achieved - target) <= Fraction(2, args.n),
     }
-    return 0, {"command": "construct", "n": args.n, "results": results, "status": "ok"}
+    return args.n, results, True
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict[str, Any], bool]:
     try:
         checks = [asdict(c) for c in verify(args.max_n)]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     failures = sum(1 for c in checks if not c["ok"])
-    report = {
-        "command": "verify",
-        "n": args.max_n,
-        "results": {"checks": checks, "failures": failures},
-        "status": "ok" if failures == 0 else "failed",
-    }
-    return (0 if failures == 0 else 1), report
+    return args.max_n, {"checks": checks, "failures": failures}, failures == 0
 
 
 def _parse_epsilons(text: str) -> list[Fraction]:
@@ -237,7 +231,7 @@ def _parse_epsilons(text: str) -> list[Fraction]:
     return out
 
 
-def _cmd_sample(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
+def _cmd_sample(args: argparse.Namespace) -> tuple[int, dict[str, Any], bool]:
     if args.n is None:
         raise UsageError("sample requires --n")
     epsilons = _parse_epsilons(args.epsilons)
@@ -255,7 +249,7 @@ def _cmd_sample(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
         "bounds": {_frac(eps): bound for eps, _, bound in rows},
         "histogram": [[lo, hi, count] for lo, hi, count in stats.histogram],
     }
-    return 0, {"command": "sample", "n": args.n, "results": results, "status": "ok"}
+    return args.n, results, True
 
 
 def _disp_entry(p: Permutation) -> dict[str, Any]:
@@ -266,7 +260,7 @@ def _s_star_entry(c: CycleWithStart) -> dict[str, Any]:
     return {"perm": _word(best_unrolling(c)), "value": _product(cycle_stat(c))}
 
 
-def _cmd_improve(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
+def _cmd_improve(args: argparse.Namespace) -> tuple[int, dict[str, Any], bool]:
     # Both local searches share one contract: step(state) is the next state,
     # or None once no move applies.
     p = _input_permutation(args)
@@ -284,7 +278,7 @@ def _cmd_improve(args: argparse.Namespace) -> tuple[int, dict[str, Any]]:
         "steps": len(trajectory) - 1,
         "trajectory": trajectory,
     }
-    return 0, {"command": "improve", "n": p.n, "results": results, "status": "ok"}
+    return p.n, results, True
 
 
 # ---------------------------------------------------------------- rendering
@@ -408,6 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each handler returns (n, results, ok); run wraps them in the report envelope.
 _HANDLERS = {
     "metrics": _cmd_metrics,
     "extremal": _cmd_extremal,
@@ -427,19 +422,22 @@ def run(argv: list[str]) -> int:
         code = exc.code if isinstance(exc.code, int) else 2
         return code
     try:
-        code, report = _HANDLERS[args.command](args)
+        n, results, ok = _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:
         # a self-check failed: a failed run, reported like a failed verification
         n = getattr(args, "n", getattr(args, "max_n", None))
-        results = {"error": str(exc)}
-        code, report = 1, {
-            "command": args.command, "n": n, "results": results, "status": "failed"
-        }
+        results, ok = {"error": str(exc)}, False
+    report = {
+        "command": args.command,
+        "n": n,
+        "results": results,
+        "status": "ok" if ok else "failed",
+    }
     _emit(report, args.format)
-    return code
+    return 0 if ok else 1
 
 
 def main() -> None:

@@ -26,15 +26,18 @@ matches one of the local configurations that provably increase s(rho):
   (iii) a shortest jump disjoint from an opposite-direction jump;
   (iv)  two disjoint jumps in opposite directions, neither shortest: this
         configuration always contains a witness for (i)/(ii)/(iii) built from
-        a shortest jump, so the exhaustive scans above already cover it and
-        no separate rewiring exists for it;
+        a shortest jump, so the exhaustive scan already covers it and no
+        separate rewiring exists for it;
   (v)   a jump bridging a longer-than-minimal jump in the opposite direction.
 
-Absence of a match does not certify maximality; the guarantee is only that
-every returned cycle has a strictly larger statistic.  One step of
-`find_improvement` costs O(n^2).  Its test oracle,
-`reference_find_improvement` in tests/test_cycles.py, classifies every jump
-pair with a classifier of its own and must pick the same rewiring.
+The rules are exclusive: a pair's direction and relation admit at most one
+of (i), (ii), (iii) and (v).  So one pass over the jump pairs classifies
+each pair once, and the chosen pair is the first pair of the lowest-numbered
+rule that matches.  Absence of a match does not certify maximality; the
+guarantee is only that every returned cycle has a strictly larger
+statistic.  One step of `find_improvement` costs O(n^2).  Its test oracle,
+`reference_find_improvement` in tests/test_cycles.py, scans for each rule in
+turn with a jump classifier of its own and must pick the same rewiring.
 """
 
 from __future__ import annotations
@@ -185,78 +188,72 @@ def two_opt(c: CycleWithStart, a: int, b: int) -> CycleWithStart:
 def find_improvement(c: CycleWithStart) -> CycleWithStart | None:
     """One rewiring that strictly increases cycle_stat, if a pattern matches.
 
-    Conditions (i)-(v) from the module docstring are scanned in that order,
-    each over jump pairs (a, b) with a < b and four distinct endpoints in
-    lexicographic order, and the first match is rewired with two_opt(c, a, b).
-    Returns None when nothing matches; that does not certify the statistic is
-    maximal.
+    Jump pairs (a, b) with a < b and four distinct endpoints are walked once
+    in lexicographic order.  Rules (i), (ii), (iii) and (v) of the module
+    docstring are exclusive, so each pair is classified once, by its
+    direction and relation, into at most one of them.  The chosen pair is
+    the first pair of the lowest-numbered rule that matches, and the walk
+    stops at the first (i).  That pair is rewired with two_opt(c, a, b).
+    Returns None when nothing matches; that does not certify the statistic
+    is maximal.
 
     A step costs O(n^2): spans, directions and the shortest jump length are
-    computed once per call, and a scan tests each pair in O(1) when it
-    reaches it.  The O(n^3) version that classified every pair up front is
-    kept as `reference_find_improvement` in tests/test_cycles.py, and each
-    step returns the same cycle as it does.
+    computed once per call, and each pair is classified in O(1).  The O(n^3)
+    version, which scans for each rule in turn and classifies pairs with a
+    classifier of its own, is kept as `reference_find_improvement` in
+    tests/test_cycles.py, and each step returns the same cycle as it does.
     """
     n = c.n
     if n < 4:
         return None
     succ = (0, *c.successor)  # succ[k] = rho(k) for k = 1..n
-    shortest = min(c.jump_lengths())
-    short = [abs(k - s) == shortest for k, s in enumerate(succ)]
     lo = [min(k, s) for k, s in enumerate(succ)]
     hi = [max(k, s) for k, s in enumerate(succ)]
     up = [s > k for k, s in enumerate(succ)]
+    length = [h - low for low, h in zip(lo, hi)]
+    shortest = min(length[1:])
+    short = [ln == shortest for ln in length]
 
-    # With four distinct endpoints two spans are disjoint, or one strictly
-    # contains the other (the outer jump bridges the inner one), or they
-    # intersect part-way.
-    def disjoint(a: int, b: int) -> bool:
-        return hi[a] < lo[b] or hi[b] < lo[a]
-
-    def inner(a: int, b: int) -> int | None:
-        # the jump whose span lies strictly inside the other's, if either does
-        if lo[a] < lo[b] and hi[b] < hi[a]:
-            return b
-        if lo[b] < lo[a] and hi[a] < hi[b]:
-            return a
+    # With a < b, lo[a] <= a < b <= hi[b], so the spans are disjoint exactly
+    # when hi[a] < lo[b].  With four distinct endpoints two spans that meet
+    # either nest strictly (the outer jump bridges the inner one) or overlap
+    # part-way.  The rule numbers double as priorities; 6 means no rule.
+    move, best = None, 6
+    for a in range(1, n + 1):
+        ra, lo_a, hi_a, up_a, short_a = succ[a], lo[a], hi[a], up[a], short[a]
+        for b in range(a + 1, n + 1):
+            if b == ra or succ[b] == a:
+                continue
+            lo_b, hi_b = lo[b], hi[b]
+            if up_a == up[b]:
+                # (i) disjoint, same direction: both new jumps are strictly longer.
+                rule = 1 if hi_a < lo_b else 6
+            elif hi_a < lo_b:
+                # (iii) a short jump disjoint from an opposite jump: the
+                # argument of (ii) below.
+                rule = 3 if short_a or short[b] else 6
+            elif lo_a < lo_b and hi_b < hi_a:
+                # (v) a jump bridging a longer-than-minimal opposite jump: the
+                # lost lengths y and x+y+z return as x+y and y+z, and
+                # (x+y)(y+z) > y(x+y+z).
+                rule = 6 if short[b] else 5
+            elif lo_b < lo_a and hi_a < hi_b:
+                rule = 6 if short_a else 5
+            else:
+                # (ii) a short jump meeting an opposite jump part-way: one of
+                # the two new jumps outgrows the replaced long one, in all
+                # four orientations.
+                rule = 2 if short_a or short[b] else 6
+            if rule < best:
+                move, best = (a, b), rule
+                if rule == 1:
+                    break
+        if best == 1:
+            break
+    if move is None:
         return None
-
-    def rewire(a: int, b: int) -> CycleWithStart:
-        improved = two_opt(c, a, b)
-        if not cycle_stat(improved) > cycle_stat(c):
-            raise InvariantError(
-                f"rewiring ({a}, {b}) failed to improve {c.successor}"
-            )
-        return improved
-
-    rules = (
-        # (i) disjoint, same direction: both new jumps are strictly longer.
-        lambda a, b: up[a] == up[b] and disjoint(a, b),
-        # (ii) a short jump meeting an opposite jump part-way: one of the two
-        # new jumps always outgrows the replaced long one, in all four
-        # orientations.
-        lambda a, b: (
-            (short[a] or short[b])
-            and up[a] != up[b]
-            and not disjoint(a, b)
-            and inner(a, b) is None
-        ),
-        # (iii) a short jump disjoint from an opposite jump: same argument.
-        lambda a, b: (short[a] or short[b]) and up[a] != up[b] and disjoint(a, b),
-        # (iv) disjoint opposite pairs with neither jump short reduce to a
-        # (i)/(ii)/(iii) witness built around a shortest jump; the scans above
-        # are exhaustive, so there is nothing new to rewire here.
-        #
-        # (v) a jump bridging a longer-than-minimal opposite jump: the two lost
-        # lengths y and x+y+z return as x+y and y+z, and (x+y)(y+z) > y(x+y+z).
-        lambda a, b: (
-            up[a] != up[b] and (k := inner(a, b)) is not None and not short[k]
-        ),
-    )
-    for rule in rules:
-        for a in range(1, n + 1):
-            ra = succ[a]
-            for b in range(a + 1, n + 1):
-                if b != ra and succ[b] != a and rule(a, b):
-                    return rewire(a, b)
-    return None
+    a, b = move
+    improved = two_opt(c, a, b)
+    if not cycle_stat(improved) > cycle_stat(c):
+        raise InvariantError(f"rewiring ({a}, {b}) failed to improve {c.successor}")
+    return improved

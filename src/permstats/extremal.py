@@ -50,12 +50,12 @@ class CrossingWitness:
 
 def _disjoint_pair(p: Permutation) -> CrossingWitness | None:
     # First disjoint pair in lexicographic order, or None if all intersect.
-    img = p.image
-    spans = [(min(i, v), max(i, v)) for i, v in enumerate(img, 1)]
+    # One comparison suffices: lo_i <= i < j <= hi_j, so [j] never lies left of [i].
+    lo = [min(i, v) for i, v in enumerate(p.image, 1)]
     for i in range(1, p.n):
-        hi_i = spans[i - 1][1]
+        hi_i = max(i, p.image[i - 1])
         for j in range(i + 1, p.n + 1):
-            if hi_i < spans[j - 1][0] or spans[j - 1][1] < spans[i - 1][0]:
+            if hi_i < lo[j - 1]:
                 return CrossingWitness(i, j)
     return None
 

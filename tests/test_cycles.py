@@ -120,6 +120,23 @@ def classify_jumps(c: CycleWithStart, a: int, b: int) -> JumpClass:
     )
 
 
+def matching_rules(c, a, b):
+    """The rules among (i), (ii), (iii), (v) that classify_jumps says (a, b) matches."""
+    k = classify_jumps(c, a, b)
+    opposite = k.direction == "opposite"
+    either_short = k.first_short or k.second_short
+    lo_a, hi_a = _span(a, c.successor_of(a))
+    lo_b, hi_b = _span(b, c.successor_of(b))
+    inner_short = k.second_short if lo_a <= lo_b and hi_b <= hi_a else k.first_short
+    matches = {
+        "i": k.relation == "disjoint" and not opposite,
+        "ii": k.relation == "nontrivial-intersection" and opposite and either_short,
+        "iii": k.relation == "disjoint" and opposite and either_short,
+        "v": k.relation == "bridges" and opposite and not inner_short,
+    }
+    return [rule for rule, hit in matches.items() if hit]
+
+
 def reference_find_improvement(c):
     """The O(n^3) find_improvement, built on classify_jumps.
 
@@ -359,6 +376,19 @@ class TestClassifyJumps:
         k = classify_jumps(c, 1, 2)
         assert k.relation == "nontrivial-intersection"
         assert k.direction == "same"
+
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_rules_are_exclusive(self, n):
+        # find_improvement gives each pair the one rule it can match
+        seen = Counter()
+        for c in all_cycles(n):
+            for a in range(1, n + 1):
+                for b in range(a + 1, n + 1):
+                    rules = matching_rules(c, a, b)
+                    assert len(rules) <= 1, (c.successor, a, b, rules)
+                    seen.update(rules)
+        if n >= 5:
+            assert set(seen) == {"i", "ii", "iii", "v"}
 
     def test_rejects_equal_jumps(self):
         c = CycleWithStart.from_mapping({1: 2, 2: 3, 3: 1}, 1)

@@ -32,3 +32,13 @@ def test_package_all_is_the_layer_objects():
     ]
     assert mismatched == []
     assert len(permstats.__all__) == len(set(permstats.__all__))
+
+
+def test_package_all_has_every_layer_name():
+    missing = [
+        name
+        for layer in LAYERS
+        for name in importlib.import_module(f"permstats.{layer}").__all__
+        if name not in permstats.__all__
+    ]
+    assert missing == []

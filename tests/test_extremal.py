@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permstats import extremal
 from permstats.core import Permutation, displacement, normalized_displacement
 from permstats.extremal import (
     construct_prescribed,
@@ -67,6 +68,24 @@ class TestCrossing:
         a = sorted((witness.i, p(witness.i)))
         b = sorted((witness.j, p(witness.j)))
         assert a[1] < b[0] or b[1] < a[0]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_witness_is_first_two_sided_disjoint_pair(self, n):
+        # the witness scan tests one side only; the definition has both
+        for p in perms(n):
+            spans = [sorted((i, p(i))) for i in range(1, n + 1)]
+            first = next(
+                (
+                    (i, j)
+                    for i in range(1, n + 1)
+                    for j in range(i + 1, n + 1)
+                    if spans[i - 1][1] < spans[j - 1][0]
+                    or spans[j - 1][1] < spans[i - 1][0]
+                ),
+                None,
+            )
+            witness = extremal._disjoint_pair(p)
+            assert (None if witness is None else (witness.i, witness.j)) == first
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_crossing_set_is_argmax_set(self, n):
