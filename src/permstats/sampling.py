@@ -201,7 +201,13 @@ class ConcentrationBound:
     c2: Fraction = Fraction(1, 64)
 
     def bound(self, eps: Fraction | float, n: int) -> float:
-        raw = 1.0 - 2.0 * float(self.c1) * math.exp(-float(self.c2) * float(eps) ** 2 * n)
+        if eps < 0:
+            return 0.0  # no sample lies within a negative distance of the median
+        try:
+            exponent = -float(self.c2) * float(eps) ** 2 * n
+        except OverflowError:
+            return 1.0  # eps beyond float range: exp(exponent) underflows to 0
+        raw = 1.0 - 2.0 * float(self.c1) * math.exp(exponent)
         return max(0.0, raw)
 
 

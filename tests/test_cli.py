@@ -365,6 +365,27 @@ class TestSample:
         assert code == 0
         assert "mean: " in out and "histogram: 50 bins" in out
 
+    @pytest.mark.parametrize("fmt, first, line", [
+        ("json", "{", '"-1/2": 0.0'),
+        ("text", "sample (n=1000, status=ok)", "eps -1/2: fraction 0/1, bound 0"),
+        ("csv", "bin_lo,bin_hi,count", None),
+    ], ids=["json", "text", "csv"])
+    def test_negative_epsilon(self, capsys, fmt, first, line):
+        code, out, err = invoke(capsys, "sample", "--n", "1000", "--trials", "100",
+                                "--epsilons=-0.5", "--format", fmt)
+        assert code == 0 and err == ""
+        assert out.splitlines()[0] == first
+        assert line is None or line in out
+
+    @pytest.mark.parametrize("eps", ["1e200", "1e400"])
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_huge_epsilon(self, capsys, eps, fmt):
+        code, out, err = invoke(capsys, "sample", "--n", "10", "--trials", "5",
+                                "--epsilons", eps, "--format", fmt)
+        assert code == 0 and err == ""
+        if fmt == "json":
+            assert json.loads(out)["results"]["bounds"] == {f"{10 ** int(eps[2:])}/1": 1.0}
+
     def test_requires_n(self, capsys):
         code, out, err = invoke(capsys, "sample")
         assert code == 2

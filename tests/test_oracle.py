@@ -1,5 +1,6 @@
 """Exhaustive-enumeration reports: values, maximizer sets, caps."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -24,6 +25,75 @@ from permstats.stretch import (
     max_multiplicative_stretch,
     multiplicative_maximizers,
 )
+
+# Reference oracles: the statistics word by word, straight from their
+# definitions, against which the blocked numpy walk is checked.
+
+
+def _disp_total(word):
+    return sum(abs(i - v) for i, v in enumerate(word, 1))
+
+
+def _gap_sum(word):
+    return sum(abs(a - b) for a, b in zip(word, word[1:]))
+
+
+def _gap_product(word):
+    return math.prod(abs(a - b) for a, b in zip(word, word[1:]))
+
+
+REFERENCE_SCORES = {
+    "displacement": _disp_total,
+    "additive-stretch": _gap_sum,
+    "multiplicative-stretch": _gap_product,
+}
+
+
+def _cycle_top(n):
+    # (best score, successor tables attaining it) over all n-cycles, each
+    # scored by its jump-length product divided by its shortest jump
+    if n == 1:
+        return 1, [(1,)]
+    scored = []
+    for rest in permutations(range(2, n + 1)):
+        order = (1,) + rest
+        succ = [0] * n
+        for k in range(n):
+            succ[order[k] - 1] = order[(k + 1) % n]
+        jumps = [abs(i - v) for i, v in enumerate(succ, 1)]
+        scored.append((math.prod(jumps) // min(jumps), tuple(succ)))
+    best = max(score for score, _ in scored)
+    return best, [succ for score, succ in scored if score == best]
+
+
+def _partition_max(n, s):
+    # max product of n positive parts with sum s, by walking the partitions
+    def rec(parts_left, total, low):
+        if parts_left == 1:
+            return total
+        best = 0
+        for first in range(low, total - parts_left + 2):
+            best = max(best, first * rec(parts_left - 1, total - first, first))
+        return best
+
+    return rec(n, s, 1)
+
+
+def reference_argmax(n, statistic):
+    if statistic == "cycle-stat":
+        best, items = _cycle_top(n)
+    else:
+        score = REFERENCE_SCORES[statistic]
+        scores = {word: score(word) for word in permutations(range(1, n + 1))}
+        best = max(scores.values())
+        items = [word for word, value in scores.items() if value == best]
+    if statistic == "displacement":
+        value = Fraction(best, n)
+    elif statistic == "additive-stretch":
+        value = Fraction(best, n - 1)
+    else:
+        value = ProductValue(Fraction(best), max(n - 1, 1))
+    return ArgmaxReport(n, statistic, value, tuple(Permutation(w) for w in sorted(items)))
 
 
 class TestAverage:
@@ -173,3 +243,47 @@ class TestVerify:
         words = Counter((1, n + 1) for n in range(1, 7))
         cycles = Counter((2, n + 1) for n in range(2, 7))
         assert walks == words + cycles
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("statistic, n", [
+        (stat, n) for stat in STATISTICS for n in range(2 if "stretch" in stat else 1, 8)
+    ])
+    def test_argmax(self, statistic, n):
+        assert brute_argmax(n, statistic) == reference_argmax(n, statistic)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_average(self, n):
+        total = sum(_disp_total(word) for word in permutations(range(1, n + 1)))
+        assert brute_average_displacement(n) == Fraction(total, math.factorial(n) * n)
+
+    def test_partition_table(self):
+        table = oracle._partition_table(6, 36)
+        for n in range(1, 7):
+            for s in range(n, 37):
+                assert table[n][s] == _partition_max(n, s), (n, s)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("block", [1, 11])  # 11 divides no n! for n <= 10
+    def test_block_size_changes_nothing(self, monkeypatch, block):
+        want = verify(7), [brute_argmax(7, stat) for stat in STATISTICS]
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        assert (verify(7), [brute_argmax(7, stat) for stat in STATISTICS]) == want
+
+    def test_first_failure_past_first_block(self, monkeypatch):
+        # the fault hits two words of the second and the last block; the
+        # detail names the earlier one
+        words = list(permutations(range(1, 8)))
+        first = words[oracle._BLOCK + 1]
+        test = oracle.is_additive_maximizer
+        monkeypatch.setattr(oracle, "is_additive_maximizer",
+                            lambda p: test(p) != (p.image in (first, words[-1])))
+        failed = [c for c in verify(7) if not c.ok]
+        detail = f"n=7: maximizer test disagrees with argmax at {first}"
+        assert failed == [Check("additive-stretch", False, detail)]
+
+    def test_block_scores_fit_int64(self):
+        # A gap or jump product has at most HARD_CAP factors, each at most
+        # HARD_CAP - 1; raising the cap past this needs exact products.
+        assert (HARD_CAP - 1) ** HARD_CAP < 2**63

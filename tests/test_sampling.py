@@ -255,6 +255,25 @@ class TestConcentration:
         assert got == pytest.approx(1 - 4 * math.exp(-1000 / 256))
         assert b.bound(Fraction(1, 100), 10) == 0.0  # clipped at zero
 
+    @pytest.mark.parametrize("eps", [Fraction(-1, 2), Fraction(-10**400), -0.5, -1e300])
+    def test_negative_eps_bound_is_zero(self, eps):
+        # |X - med| <= eps is empty for eps < 0, whatever n
+        assert ConcentrationBound().bound(eps, 10**6) == 0.0
+
+    @pytest.mark.parametrize("eps", [Fraction(10**200), Fraction(10**400), 1e200, 1e300])
+    def test_huge_eps_bound_is_one(self, eps):
+        assert ConcentrationBound().bound(eps, 10) == 1.0
+
+    @pytest.mark.parametrize("eps", [Fraction(0), Fraction(1, 2), Fraction(3, 10), 12.5, 1e100])
+    def test_bound_keeps_its_float_expression(self, eps):
+        want = max(0.0, 1.0 - 4.0 * math.exp(-(1 / 64) * float(eps) ** 2 * 1000))
+        assert ConcentrationBound().bound(eps, 1000) == want
+
+    def test_report_accepts_negative_and_huge_eps(self):
+        eps = (Fraction(-1, 2), Fraction(10**400))
+        rows = concentration_report(empirical_stats(1000, 100, 0, epsilons=eps))
+        assert rows == ((eps[0], Fraction(0), 0.0), (eps[1], Fraction(1), 1.0))
+
     def test_report_rows_sorted_and_consistent(self):
         eps = (Fraction(1, 2), Fraction(1, 50), Fraction(3, 10))
         stats = empirical_stats(1000, 400, 12, epsilons=eps)
