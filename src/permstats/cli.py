@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -147,14 +148,11 @@ def _cmd_metrics(args: argparse.Namespace) -> tuple[int, dict[str, Any], bool]:
 
 
 def _crossing_example(n: int) -> Permutation:
-    if n % 2 == 0:
-        return construct_prescribed(n, Fraction(1, 2))
+    # top half, the middle value when n is odd, then the bottom half
     m = n // 2
-    img = list(range(1, n + 1))
-    for i in range(1, m + 1):
-        img[i - 1] = i + m + 1
-        img[i + m] = i
-    return Permutation(tuple(img))
+    return Permutation(
+        (*range(n - m + 1, n + 1), *range(m + 1, n - m + 1), *range(1, m + 1))
+    )
 
 
 def _cmd_extremal(args: argparse.Namespace) -> tuple[int, dict[str, Any], bool]:
@@ -392,7 +390,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilons", default="0.02,0.1,0.3,0.5")
+    p.add_argument(
+        "--epsilons",
+        default="0.02,0.1,0.3,0.5",
+        help="comma-separated, decimal or p/q; write a list that starts with a"
+        " minus as --epsilons=-0.5,0.3",
+    )
 
     p = add("improve", "iterate local improvements, printing the trajectory")
     p.add_argument("--perm")
@@ -436,7 +439,15 @@ def run(argv: list[str]) -> int:
         "results": results,
         "status": "ok" if ok else "failed",
     }
-    _emit(report, args.format)
+    try:
+        _emit(report, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`): send the unwritten rest
+        # to devnull, so the interpreter's last flush is silent too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0 if ok else 1
 
 

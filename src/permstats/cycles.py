@@ -133,8 +133,6 @@ def best_unrolling(c: CycleWithStart) -> Permutation:
     Starts just past a shortest jump (the first one, for determinism), so the
     one jump the word skips is the cheapest.
     """
-    if c.n == 1:
-        return cycle_to_perm(c)
     lengths = c.jump_lengths()
     k = lengths.index(min(lengths)) + 1
     return cycle_to_perm(CycleWithStart(c.n, c.successor, c.successor_of(k)))

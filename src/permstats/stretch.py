@@ -10,7 +10,10 @@ where every diameter in the denominator is 1: the additive stretch becomes
 the mean consecutive gap of the one-line word, and the multiplicative stretch
 the geometric mean of those gaps.  Both maxima have closed forms, and the
 maximizers themselves are constructed explicitly (`multiplicative_maximizers`)
-or characterized by a linear-time predicate (`is_additive_maximizer`).
+or characterized by a linear-time predicate (`is_additive_maximizer`).  The
+multiplicative maximizers are the mirror images (reverse, complement, both)
+of one base word that alternates low and high values: two words for even n,
+where reverse and complement coincide, and four for odd n.
 
 Geometric means are never evaluated in floating point: a `ProductValue` keeps
 the exact product together with the root exponent, and comparisons
@@ -259,72 +262,36 @@ def max_multiplicative_stretch(n: int) -> ProductValue:
     return ProductValue(Fraction(product), n - 1)
 
 
-def _even_maximizers(m: int) -> list[Permutation]:
-    n = 2 * m
-    first = [0] * n
-    second = [0] * n
-    for i in range(1, m + 1):
-        first[2 * i - 2] = m - i + 1
-        first[2 * i - 1] = n - i + 1
-        second[2 * i - 2] = m + i
-        second[2 * i - 1] = i
-    return [Permutation(tuple(first)), Permutation(tuple(second))]
-
-
-def _odd_base_word(m: int) -> Permutation:
-    # Successor map of a single n-cycle (n = 2m + 1) whose jump lengths realize
-    # the extremal gap product once the unique short jump m -> m+1 is dropped.
-    # Built from alternating long hops of size ~m and ~m+2; the parity of m
-    # decides which residue class hops forward.
-    n = 2 * m + 1
-    succ = [0] * (n + 1)
-    succ[m] = m + 1
-    if m % 2 == 1:
-        succ[m + 2] = 1
-        for i in range(1, n + 1):
-            if succ[i]:
-                continue
-            if i % 2 == 0:
-                succ[i] = i + m if i < m + 2 else i - m
-            else:
-                succ[i] = i + m + 2 if i < m else i - m - 2
+def _base_word(n: int) -> Permutation:
+    # Low values at the odd positions, high values at the even ones.  For odd
+    # n each half steps down by 2 from its top, then climbs back up through
+    # the other parity, so the word runs m+1 ... m.
+    m = n // 2
+    if n % 2 == 0:
+        low, high = range(m, 0, -1), range(n, m, -1)
     else:
-        succ[1] = m + 2
-        for i in range(1, n + 1):
-            if succ[i]:
-                continue
-            if i % 2 == 1:
-                succ[i] = i + m if i < m + 2 else i - m - 2
-            else:
-                succ[i] = i + m + 2 if i < m else i - m
-    # Unroll starting just past the short jump, so the word runs m+1 ... m and
-    # the dropped jump is exactly the short one.
-    img = [m + 1]
-    while len(img) < n:
-        img.append(succ[img[-1]])
-    p = Permutation(tuple(img))
-    if p(n) != m:
-        raise InvariantError(f"cycle construction broken for m={m}")
-    return p
+        low = [*range(m + 1, 0, -2), *range(2 - m % 2, m + 1, 2)]
+        high = [*range(n, m + 1, -2), *range(m + 2 + m % 2, n, 2)]
+    word = [0] * n
+    word[0::2], word[1::2] = low, high
+    return Permutation(tuple(word))
 
 
 def multiplicative_maximizers(n: int) -> list[Permutation]:
     """All permutations attaining max_multiplicative_stretch(n), sorted.
 
-    Even n yields two permutations (mirror images of one another); odd n >= 3
-    yields the four reverse/complement images of one explicit word.
+    Both parities give the mirror orbit (reverse, complement, both) of one
+    explicit base word: two words for even n, where reverse and complement
+    coincide, and four for odd n >= 3.
 
     >>> [p.image for p in multiplicative_maximizers(4)]
     [(2, 4, 1, 3), (3, 1, 4, 2)]
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    m = n // 2
-    if n % 2 == 0:
-        perms = set(_even_maximizers(m))
-    else:
-        base = _odd_base_word(m)
-        perms = {base, reverse(base), complement(base), reverse(complement(base))}
-        if len(perms) != 4:
-            raise InvariantError(f"expected 4 distinct maximizers for n={n}")
+    base = _base_word(n)
+    perms = {base, reverse(base), complement(base), reverse(complement(base))}
+    expected = 2 if n % 2 == 0 else 4
+    if len(perms) != expected:
+        raise InvariantError(f"expected {expected} distinct maximizers for n={n}")
     return sorted(perms)

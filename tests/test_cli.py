@@ -12,8 +12,8 @@ import pytest
 
 import permstats
 from permstats import extremal, oracle
-from permstats.cli import parse_permutation_text, run
-from permstats.core import Permutation
+from permstats.cli import _crossing_example, parse_permutation_text, run
+from permstats.core import Permutation, displacement
 from permstats.sampling import ConcentrationBound, displacement_sums
 
 
@@ -27,6 +27,20 @@ def invoke_json(capsys, *argv):
     code, out, err = invoke(capsys, *argv, "--format", "json")
     assert err == ""
     return code, json.loads(out)
+
+
+def reference_crossing_example(n):
+    # Independent construction: the balanced prescribed word for even n, and
+    # for odd n the top half, the middle value, then the bottom half, placed
+    # one position pair at a time.
+    if n % 2 == 0:
+        return extremal.construct_prescribed(n, Fraction(1, 2))
+    m = n // 2
+    img = list(range(1, n + 1))
+    for i in range(1, m + 1):
+        img[i - 1] = i + m + 1
+        img[i + m] = i
+    return Permutation(tuple(img))
 
 
 class TestParsePermutationText:
@@ -164,6 +178,16 @@ class TestExtremal:
     def test_stretch_needs_two(self, capsys):
         code, out, err = invoke(capsys, "extremal", "--n", "1", "--stat", "s-plus")
         assert code == 2
+
+    def test_crossing_example_equals_reference(self):
+        for n in [*range(1, 601), 1400, 1401, 2000, 2001]:
+            assert _crossing_example(n) == reference_crossing_example(n), n
+
+    @pytest.mark.parametrize("n", [1400, 1401])
+    def test_crossing_example_attains_maximum(self, n):
+        example = _crossing_example(n)
+        assert extremal.is_crossing(example)[0]
+        assert displacement(example) == extremal.max_displacement(n)
 
 
 class TestConstruct:
@@ -376,6 +400,18 @@ class TestSample:
         assert code == 0 and err == ""
         assert out.splitlines()[0] == first
         assert line is None or line in out
+
+    def test_leading_minus_list_needs_equals_form(self, capsys):
+        code, report = invoke_json(capsys, "sample", "--n", "1000", "--trials", "100",
+                                   "--epsilons=-0.5,0.3")
+        assert code == 0
+        assert report["results"]["fractions"]["-1/2"] == "0/1"
+        assert report["results"]["bounds"]["-1/2"] == 0
+        # argparse reads a value that starts with "-" and is not a plain
+        # number as a missing value
+        code, out, err = invoke(capsys, "sample", "--n", "10", "--trials", "5",
+                                "--epsilons", "-0.5,0.3")
+        assert code == 2 and "expected one argument" in err
 
     @pytest.mark.parametrize("eps", ["1e200", "1e400"])
     @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
@@ -699,3 +735,44 @@ class TestEntryPoints:
             env=child_env(),
         )
         assert proc.returncode == 2
+
+
+class TestClosedStdout:
+    # A reader that stops early (`permstats ... | head -c 20`) gets no
+    # traceback and no "Exception ignored" line at shutdown, and the exit code
+    # stays the one the command computed.
+    MODULE = [sys.executable, "-m", "permstats.cli"]
+    FAILING = [sys.executable, "-c", (
+        "from permstats import cli, extremal; "
+        "f = extremal._crossing_by_image_sets; "
+        "extremal._crossing_by_image_sets = lambda p: not f(p); "
+        "cli.main()"
+    )]
+
+    @staticmethod
+    def read_then_close(argv, keep):
+        proc = subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()
+        )
+        head = proc.stdout.read(keep)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        return head, proc.returncode, err
+
+    def test_closed_mid_report(self):
+        # about 250 kB of json, far more than a pipe buffers
+        head, code, err = self.read_then_close(
+            [*self.MODULE, "extremal", "--n", "20000", "--stat", "s-plus",
+             "--format", "json"],
+            20,
+        )
+        assert head == b'{\n  "command": "extr'
+        assert (code, err) == (0, b"")
+
+    @pytest.mark.parametrize("argv, expected", [
+        (MODULE + ["extremal", "--n", "5"], 0),
+        (FAILING + ["improve", "--stat", "disp", "--perm", "2 1 3"], 1),
+    ], ids=["ok", "failed"])
+    def test_closed_before_report(self, argv, expected):
+        head, code, err = self.read_then_close(argv, 0)
+        assert (code, err) == (expected, b"")

@@ -269,6 +269,9 @@ class TestCycleStat:
             chosen = best_unrolling(c)
             assert gap_product(chosen) == best
 
+    def test_best_unrolling_of_one_cycle(self):
+        assert best_unrolling(CycleWithStart.from_mapping({1: 1}, 1)) == Permutation((1,))
+
     def test_best_unrolling_visible_example(self):
         c = perm_to_cycle(Permutation((2, 4, 1, 3)))
         w = best_unrolling(c)

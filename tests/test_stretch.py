@@ -38,6 +38,58 @@ def gap_product(p):
     return out
 
 
+# Independent constructions of the maximizers, kept as oracles: the even pair
+# written by hand, and the odd base word unrolled from the successor map of an
+# n-cycle with hops of about m and m + 2.
+def hand_even_maximizers(m):
+    n = 2 * m
+    first = [0] * n
+    second = [0] * n
+    for i in range(1, m + 1):
+        first[2 * i - 2] = m - i + 1
+        first[2 * i - 1] = n - i + 1
+        second[2 * i - 2] = m + i
+        second[2 * i - 1] = i
+    return [Permutation(tuple(first)), Permutation(tuple(second))]
+
+
+def unrolled_odd_base_word(m):
+    n = 2 * m + 1
+    succ = [0] * (n + 1)
+    succ[m] = m + 1
+    if m % 2 == 1:
+        succ[m + 2] = 1
+        for i in range(1, n + 1):
+            if succ[i]:
+                continue
+            if i % 2 == 0:
+                succ[i] = i + m if i < m + 2 else i - m
+            else:
+                succ[i] = i + m + 2 if i < m else i - m - 2
+    else:
+        succ[1] = m + 2
+        for i in range(1, n + 1):
+            if succ[i]:
+                continue
+            if i % 2 == 1:
+                succ[i] = i + m if i < m + 2 else i - m - 2
+            else:
+                succ[i] = i + m + 2 if i < m else i - m
+    img = [m + 1]
+    while len(img) < n:
+        img.append(succ[img[-1]])
+    assert img[-1] == m
+    return Permutation(tuple(img))
+
+
+def reference_maximizers(n):
+    m = n // 2
+    if n % 2 == 0:
+        return sorted(hand_even_maximizers(m))
+    base = unrolled_odd_base_word(m)
+    return sorted({base, reverse(base), complement(base), reverse(complement(base))})
+
+
 random_perm = st.integers(2, 25).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
 ).map(lambda w: Permutation(tuple(w)))
@@ -242,9 +294,13 @@ class TestMultiplicative:
         assert stretch_multiplicative(fam, reverse(p)) == s
         assert stretch_multiplicative(fam, complement(p)) == s
 
-    @pytest.mark.parametrize("n", [10, 11, 20, 21, 51])
+    @pytest.mark.parametrize("n", [10, 11, 20, 21, 51, 1400, 1401])
     def test_constructed_words_attain_maximum(self, n):
         fam = consecutive_pairs(n)
         best = max_multiplicative_stretch(n)
         for p in multiplicative_maximizers(n):
             assert stretch_multiplicative(fam, p) == best
+
+    def test_equals_reference_constructions(self):
+        for n in [*range(2, 601), 1400, 1401, 2000, 2001]:
+            assert multiplicative_maximizers(n) == reference_maximizers(n), n
