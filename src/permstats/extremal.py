@@ -10,7 +10,9 @@ displacement, and they admit a clean image-set description:
 
 `is_crossing` runs both the interval test and the image-set test and insists
 they agree, so a bug in either one raises `InvariantError` rather than
-returning a wrong answer.
+returning a wrong answer.  Both tests are O(n): the interval test finds the
+lexicographically first disjoint pair from the suffix maxima of the left
+endpoints min(i, pi(i)), and the image-set test reads slices of the word.
 
 A noncrossing permutation always has two disjoint intervals, and composing
 with that transposition strictly increases displacement (`improve_noncrossing`).
@@ -23,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .core import InvariantError, Permutation
 
@@ -51,26 +54,33 @@ class CrossingWitness:
 def _disjoint_pair(p: Permutation) -> CrossingWitness | None:
     # First disjoint pair in lexicographic order, or None if all intersect.
     # One comparison suffices: lo_i <= i < j <= hi_j, so [j] never lies left of [i].
-    lo = [min(i, v) for i, v in enumerate(p.image, 1)]
-    for i in range(1, p.n):
-        hi_i = max(i, p.image[i - 1])
-        for j in range(i + 1, p.n + 1):
-            if hi_i < lo[j - 1]:
-                return CrossingWitness(i, j)
+    # The witness's i is the first with hi_i < max(lo_j for j > i), read off the
+    # suffix maxima of lo, and one scan past it finds j: O(n) in all.
+    img, n = p.image, p.n
+    lo = [i if i < v else v for i, v in enumerate(img, 1)]
+    suffix_max = list(accumulate(reversed(lo), max))
+    suffix_max.reverse()  # suffix_max[k] = max(lo[k:])
+    for i in range(1, n):
+        v = img[i - 1]
+        hi_i = v if v > i else i
+        if hi_i < suffix_max[i]:
+            for j in range(i + 1, n + 1):
+                if hi_i < lo[j - 1]:
+                    return CrossingWitness(i, j)
     return None
 
 
 def _crossing_by_image_sets(p: Permutation) -> bool:
-    n, m = p.n, p.n // 2
-    if n % 2 == 0:
-        return all(p(i) > m for i in range(1, m + 1))
-    low = all(p(i) > m for i in range(1, m + 1))
-    high = all(p(i) <= m + 1 for i in range(m + 2, n + 1))
-    return low and high
+    # For even n the first test forces the second: {1..m} fills {m+1..n}.
+    img, m = p.image, p.n // 2
+    return min(img[:m], default=m + 1) > m and max(img[m + 1 :], default=0) <= m + 1
 
 
 def is_crossing(p: Permutation) -> tuple[bool, CrossingWitness | None]:
     """Decide crossing; when false, also return the first disjoint pair.
+
+    O(n) time; the witness is the lexicographically first pair i < j whose
+    intervals are disjoint.
 
     >>> is_crossing(Permutation((2, 1)))
     (True, None)

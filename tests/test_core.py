@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from permstats.cli import _crossing_example
 from permstats.core import (
     Permutation,
     average_displacement_exact,
@@ -25,6 +26,27 @@ from permstats.core import (
 
 def perms(n):
     return (Permutation(w) for w in permutations(range(1, n + 1)))
+
+
+def reference_spread(p):
+    # The O(n^2) pair scan that `spread` replaced, kept as its oracle.
+    img = p.image
+    return min(
+        (j - i) + abs(img[i - 1] - img[j - 1])
+        for i in range(1, p.n)
+        for j in range(i + 1, p.n + 1)
+    )
+
+
+def reference_dispersion(p):
+    # The set of all n(n-1)/2 difference pairs that `dispersion` replaced.
+    img = p.image
+    seen = {
+        (i - j, img[i - 1] - img[j - 1])
+        for i in range(1, p.n)
+        for j in range(i + 1, p.n + 1)
+    }
+    return Fraction(len(seen), p.n * (p.n - 1) // 2)
 
 
 random_perm = st.integers(1, 30).flatmap(
@@ -172,3 +194,40 @@ class TestCompanionStatistics:
             spread(single)
         with pytest.raises(ValueError):
             dispersion(single)
+
+
+class TestOffsetScans:
+    # `spread` and `dispersion` against the pair scans they replaced, with
+    # exact return types, and at sizes the pair scans cannot reach
+    @staticmethod
+    def assert_matches_reference(p):
+        got_spread, got_dispersion = spread(p), dispersion(p)
+        assert type(got_spread) is int and got_spread == reference_spread(p), p.image
+        assert type(got_dispersion) is Fraction
+        assert got_dispersion == reference_dispersion(p), p.image
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_match_reference_on_all_of_sn(self, n):
+        for p in perms(n):
+            self.assert_matches_reference(p)
+
+    @pytest.mark.parametrize("n", [100, 500, 1500, 2000])
+    def test_match_reference_on_random_words(self, n, random_word):
+        self.assert_matches_reference(random_word(0, n))
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 10, 101, 500])
+    def test_match_reference_on_structured_words(self, n, structured_words):
+        for p in structured_words(n):
+            self.assert_matches_reference(p)
+
+    @pytest.mark.parametrize("word", [Permutation.identity, _crossing_example])
+    def test_match_reference_at_n_2000(self, word):
+        # the reference takes about a second per word at this size, so only
+        # two of the structured words run here; n = 500 runs all of them
+        self.assert_matches_reference(word(2000))
+
+    def test_spread_of_identity_at_n_100000(self):
+        assert spread(Permutation.identity(100_000)) == 2
+
+    def test_dispersion_of_identity_at_n_10000(self):
+        assert dispersion(Permutation.identity(10_000)) == Fraction(2, 10_000)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permstats import extremal
+from permstats.cli import _crossing_example
 from permstats.core import Permutation, displacement, normalized_displacement
 from permstats.extremal import (
     construct_prescribed,
@@ -21,6 +22,17 @@ from permstats.extremal import (
 
 def perms(n):
     return (Permutation(w) for w in permutations(range(1, n + 1)))
+
+
+def reference_disjoint_pair(p):
+    # The O(n^2) pair scan that `_disjoint_pair` replaced, kept as its oracle.
+    lo = [min(i, v) for i, v in enumerate(p.image, 1)]
+    for i in range(1, p.n):
+        hi_i = max(i, p.image[i - 1])
+        for j in range(i + 1, p.n + 1):
+            if hi_i < lo[j - 1]:
+                return extremal.CrossingWitness(i, j)
+    return None
 
 
 class TestMaxDisplacement:
@@ -101,6 +113,39 @@ class TestCrossing:
             expected *= n
         observed = sum(1 for p in perms(n) if is_crossing(p)[0])
         assert observed == expected == count_max_displacement(n)
+
+
+class TestLinearWitness:
+    # `_disjoint_pair` against the pair scan, and `is_crossing` at sizes the
+    # pair scan cannot reach
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_reference_on_all_of_sn(self, n):
+        for p in perms(n):
+            assert extremal._disjoint_pair(p) == reference_disjoint_pair(p), p.image
+
+    @pytest.mark.parametrize("n", [100, 500, 1500, 2000])
+    def test_matches_reference_on_random_words(self, n, random_word):
+        for seed in range(5):
+            p = random_word(seed, n)
+            assert extremal._disjoint_pair(p) == reference_disjoint_pair(p)
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 10, 101, 500, 2000])
+    def test_matches_reference_on_structured_words(self, n, structured_words):
+        for p in structured_words(n):
+            witness = extremal._disjoint_pair(p)
+            assert witness == reference_disjoint_pair(p), p.image[:10]
+            assert is_crossing(p) == (witness is None, witness)
+
+    def test_crossing_example_at_n_100000(self):
+        assert is_crossing(_crossing_example(100_000)) == (True, None)
+
+    def test_one_swap_at_n_100000(self):
+        # [1, 50000] misses only the last interval, [50001, 100000]
+        p = _crossing_example(100_000)
+        img = list(p.image)
+        img[0], img[-1] = img[-1], img[0]
+        ok, witness = is_crossing(Permutation(tuple(img)))
+        assert not ok and witness == extremal.CrossingWitness(1, 100_000)
 
 
 class TestImproveNoncrossing:
