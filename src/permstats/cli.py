@@ -11,6 +11,11 @@ One logical command per invocation:
 
 Exit codes: 0 success, 1 failed verification or failed self-check (an
 `InvariantError`, reported with status "failed"), 2 usage or input error.
+Exit 2 covers argparse's rejections and every `ValueError`, `OverflowError`
+or `MemoryError` raised while a command runs or its report is rendered: a
+malformed or unreadable input, an n outside a closed form's range, or an n
+too large to build a word for or to print.  It writes one `error:` line to
+stderr and nothing to stdout.
 Rationals are printed as "p/q", root-products as a product/root pair, and
 permutations in a form that --perm accepts back verbatim.
 """
@@ -18,6 +23,7 @@ permutations in a form that --perm accepts back verbatim.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import os
 import sys
@@ -59,17 +65,15 @@ from .stretch import (
 __all__ = ["run", "main"]
 
 
-class UsageError(Exception):
-    """Bad flags or malformed input; maps to exit code 2."""
-
-
 def _frac(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
 def _product(pv: ProductValue) -> dict[str, Any]:
+    # Decimal prints an int exactly and is not bound by CPython's int->str
+    # digit limit, which M* passes from n = 1497
     p = pv.product
-    text = str(p.numerator) if p.denominator == 1 else _frac(p)
+    text = str(decimal.Decimal(p.numerator)) if p.denominator == 1 else _frac(p)
     return {"product": text, "root": pv.root}
 
 
@@ -89,19 +93,16 @@ def parse_permutation_text(text: str) -> Permutation:
     if tokens and tokens[0].lower().startswith("n=") and tokens[0][2:].isdigit():
         tokens = tokens[1:]
     if not tokens:
-        raise UsageError("empty permutation input")
+        raise ValueError("empty permutation input")
     values = []
     for tok in tokens:
         try:
             values.append(int(tok))
         except ValueError:
-            raise UsageError(
+            raise ValueError(
                 f"malformed permutation: offending token {tok!r}"
             ) from None
-    try:
-        return Permutation(tuple(values))
-    except ValueError as exc:
-        raise UsageError(f"invalid permutation: {exc}") from None
+    return Permutation(tuple(values))
 
 
 def _input_permutation(args: argparse.Namespace) -> Permutation:
@@ -110,17 +111,18 @@ def _input_permutation(args: argparse.Namespace) -> Permutation:
     if args.input is not None:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
-                return parse_permutation_text(fh.read())
-        except OSError as exc:
-            raise UsageError(f"cannot read {args.input}: {exc}") from None
-    raise UsageError("a permutation is required: pass --perm or --input")
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValueError(f"cannot read {args.input}: {exc}") from None
+        return parse_permutation_text(text)
+    raise ValueError("a permutation is required: pass --perm or --input")
 
 
 def _parse_fraction(text: str, what: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"malformed {what}: {text!r}") from None
+        raise ValueError(f"malformed {what}: {text!r}") from None
 
 
 # ---------------------------------------------------------------- commands
@@ -156,48 +158,38 @@ def _crossing_example(n: int) -> Permutation:
 
 
 def _cmd_extremal(args: argparse.Namespace) -> tuple[int, dict[str, Any], bool]:
+    # Each value is computed before the results dict so that a bad or huge n
+    # fails on the range check or the word, before factorial(n // 2) or m**m.
     n = args.n
-    if n is None:
-        raise UsageError("extremal requires --n")
     if args.stat == "disp":
-        if n < 1:
-            raise UsageError(f"--n must be positive, got {n}")
-        example = _crossing_example(n)
+        maximum = _frac(max_displacement(n))
+        example = _word(_crossing_example(n))
         results: dict[str, Any] = {
             "stat": "disp",
-            "max": _frac(max_displacement(n)),
+            "max": maximum,
             "count": count_max_displacement(n),
-            "example": _word(example),
+            "example": example,
         }
     elif args.stat == "s-plus":
-        if n < 2:
-            raise UsageError("stretch statistics need --n at least 2")
+        example = _word(multiplicative_maximizers(n)[0])
         results = {
             "stat": "s-plus",
             "max": _frac(max_additive_stretch(n)),
-            "example": _word(multiplicative_maximizers(n)[0]),
+            "example": example,
         }
     else:
-        if n < 2:
-            raise UsageError("stretch statistics need --n at least 2")
+        maximizers = [_word(p) for p in multiplicative_maximizers(n)]
         results = {
             "stat": "s-star",
             "max": _product(max_multiplicative_stretch(n)),
-            "maximizers": [_word(p) for p in multiplicative_maximizers(n)],
+            "maximizers": maximizers,
         }
     return n, results, True
 
 
 def _cmd_construct(args: argparse.Namespace) -> tuple[int, dict[str, Any], bool]:
-    if args.n is None:
-        raise UsageError("construct requires --n")
-    if args.displacement is None:
-        raise UsageError("construct requires --displacement")
     target = _parse_fraction(args.displacement, "displacement")
-    try:
-        p = construct_prescribed(args.n, target)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    p = construct_prescribed(args.n, target)
     achieved = normalized_displacement(p)
     results = {
         "perm": _word(p),
@@ -210,10 +202,7 @@ def _cmd_construct(args: argparse.Namespace) -> tuple[int, dict[str, Any], bool]
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict[str, Any], bool]:
-    try:
-        checks = [asdict(c) for c in verify(args.max_n)]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    checks = [asdict(c) for c in verify(args.max_n)]
     failures = sum(1 for c in checks if not c["ok"])
     return args.max_n, {"checks": checks, "failures": failures}, failures == 0
 
@@ -225,18 +214,13 @@ def _parse_epsilons(text: str) -> list[Fraction]:
         if tok:
             out.append(_parse_fraction(tok, "epsilon"))
     if not out:
-        raise UsageError("no epsilons given")
+        raise ValueError("no epsilons given")
     return out
 
 
 def _cmd_sample(args: argparse.Namespace) -> tuple[int, dict[str, Any], bool]:
-    if args.n is None:
-        raise UsageError("sample requires --n")
     epsilons = _parse_epsilons(args.epsilons)
-    try:
-        stats = empirical_stats(args.n, args.trials, args.seed, epsilons)
-    except (ValueError, MemoryError) as exc:
-        raise UsageError(str(exc) or "out of memory") from None
+    stats = empirical_stats(args.n, args.trials, args.seed, epsilons)
     rows = concentration_report(stats, ConcentrationBound())
     results = {
         "trials": stats.trials,
@@ -265,7 +249,7 @@ def _cmd_improve(args: argparse.Namespace) -> tuple[int, dict[str, Any], bool]:
     if args.stat == "disp":
         state, step, entry = p, improve_noncrossing, _disp_entry
     elif p.n < 2:
-        raise UsageError("s-star improvement needs n >= 2")
+        raise ValueError("s-star improvement needs n >= 2")
     else:
         state, step, entry = perm_to_cycle(p), find_improvement, _s_star_entry
     trajectory = [entry(state)]
@@ -347,13 +331,12 @@ def _render_csv(report: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def _emit(report: dict[str, Any], fmt: str) -> None:
+def _render(report: dict[str, Any], fmt: str) -> str:
     if fmt == "json":
-        print(json.dumps(report, indent=2))
-    elif fmt == "csv":
-        print(_render_csv(report))
-    else:
-        print(_render_text(report))
+        return json.dumps(report, indent=2)
+    if fmt == "csv":
+        return _render_csv(report)
+    return _render_text(report)
 
 
 # ---------------------------------------------------------------- entry
@@ -376,18 +359,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="file containing the one-line word")
 
     p = add("extremal", "closed-form maxima and maximizers")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--stat", choices=("disp", "s-plus", "s-star"), default="disp")
 
     p = add("construct", "permutation with a prescribed normalized displacement")
-    p.add_argument("--n", type=int)
-    p.add_argument("--displacement", help="target in [0, 1/2], decimal or p/q")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument(
+        "--displacement", required=True, help="target in [0, 1/2], decimal or p/q"
+    )
 
     p = add("verify", "closed forms vs. exhaustive enumeration")
     p.add_argument("--max-n", type=int, default=7, dest="max_n")
 
     p = add("sample", "seeded Monte Carlo displacement summary")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -417,7 +402,10 @@ _HANDLERS = {
 
 
 def run(argv: list[str]) -> int:
-    """Parse argv, execute one command, emit its report; returns the exit code."""
+    """Parse argv, execute one command, emit its report; returns the exit code.
+
+    The one place where exceptions become exit codes (see the module docstring).
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -425,22 +413,25 @@ def run(argv: list[str]) -> int:
         code = exc.code if isinstance(exc.code, int) else 2
         return code
     try:
-        n, results, ok = _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            n, results, ok = _HANDLERS[args.command](args)
+        except InvariantError as exc:
+            # a self-check failed: a failed run, reported like a failed verification
+            n = getattr(args, "n", getattr(args, "max_n", None))
+            results, ok = {"error": str(exc)}, False
+        report = {
+            "command": args.command,
+            "n": n,
+            "results": results,
+            "status": "ok" if ok else "failed",
+        }
+        text = _render(report, args.format)
+    except (ValueError, OverflowError, MemoryError) as exc:
+        # only a bare MemoryError() comes without a message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
-    except InvariantError as exc:
-        # a self-check failed: a failed run, reported like a failed verification
-        n = getattr(args, "n", getattr(args, "max_n", None))
-        results, ok = {"error": str(exc)}, False
-    report = {
-        "command": args.command,
-        "n": n,
-        "results": results,
-        "status": "ok" if ok else "failed",
-    }
     try:
-        _emit(report, args.format)
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout early (`| head`): send the unwritten rest

@@ -2,16 +2,18 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import permstats
-from permstats import extremal, oracle
+from permstats import cli, extremal, oracle
 from permstats.cli import _crossing_example, parse_permutation_text, run
 from permstats.core import Permutation, displacement
 from permstats.sampling import ConcentrationBound, displacement_sums
@@ -671,6 +673,97 @@ class TestInvariantFailures:
         report = json.loads(proc.stdout)
         assert report["status"] == "failed"
         assert report["results"]["error"].startswith(self.MESSAGE)
+
+
+def assert_usage_error(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+HUGE_N = str(10**30)  # no word of this size fits in an index
+MEMORY_N = str(10**15)  # indexable, but far beyond a 2 GiB address space
+
+
+class TestUsageBoundary:
+    # Every ValueError, OverflowError or MemoryError out of a command or its
+    # rendering is exit 2 with one stderr line, whatever raised it.
+
+    @pytest.fixture
+    def no_closed_form(self, monkeypatch):
+        # at a huge n these closed forms run for minutes; the word must fail first
+        def forbidden(n):
+            pytest.fail(f"closed form computed before the word at n={n}")
+
+        monkeypatch.setattr(cli, "count_max_displacement", forbidden)
+        monkeypatch.setattr(cli, "max_multiplicative_stretch", forbidden)
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--n", HUGE_N, "--displacement", "1/4"],
+        ["extremal", "--n", HUGE_N, "--stat", "disp"],
+        ["extremal", "--n", HUGE_N, "--stat", "s-plus"],
+        ["extremal", "--n", HUGE_N, "--stat", "s-star"],
+    ], ids=["construct", "disp", "s-plus", "s-star"])
+    def test_n_too_large_for_a_word(self, capsys, no_closed_form, argv):
+        assert_usage_error(*invoke(capsys, *argv, "--format", "json"))
+
+    def test_undecodable_input_file(self, capsys, tmp_path):
+        path = tmp_path / "word.bin"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = invoke(capsys, "metrics", "--input", str(path))
+        assert_usage_error(code, out, err)
+        assert str(path) in err
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_unprintable_count(self, capsys, fmt):
+        # count_max_displacement(2000) has more digits than CPython prints
+        assert_usage_error(
+            *invoke(capsys, "extremal", "--n", "2000", "--stat", "disp", "--format", fmt)
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--n", MEMORY_N, "--displacement", "1/4"],
+        ["extremal", "--n", MEMORY_N, "--stat", "disp"],
+        ["extremal", "--n", MEMORY_N, "--stat", "s-plus"],
+    ], ids=["construct", "disp", "s-plus"])
+    def test_out_of_memory(self, argv):
+        # the limit makes the allocation fail whatever the machine's
+        # overcommit policy, as in TestSample::test_out_of_memory_is_usage_error
+        resource = pytest.importorskip("resource")
+        limit = 2**31
+        proc = subprocess.run(
+            [sys.executable, "-m", "permstats.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            timeout=60,
+        )
+        assert_usage_error(proc.returncode, proc.stdout, proc.stderr)
+
+
+class TestProductDigits:
+    # Products past CPython's 4300-digit int->str limit print exactly; the
+    # digits are compared as Decimal, since int(text) hits the limit as well.
+
+    def test_metrics_random_word(self, capsys, random_word):
+        word = random_word(0, 2000).image
+        code, report = invoke_json(capsys, "metrics", "--perm", " ".join(map(str, word)))
+        assert code == 0
+        s_star = report["results"]["s_star"]
+        product = math.prod(abs(a - b) for a, b in zip(word, word[1:]))
+        assert s_star["root"] == 1999
+        assert Decimal(s_star["product"]) == product
+        assert len(s_star["product"]) > 4300
+
+    def test_extremal_s_star(self, capsys):
+        code, report = invoke_json(capsys, "extremal", "--n", "2000", "--stat", "s-star")
+        assert code == 0
+        r = report["results"]
+        assert r["max"]["root"] == 1999
+        assert Decimal(r["max"]["product"]) == 1000**1000 * 1001**999
+        for word in r["maximizers"]:
+            gaps = math.prod(abs(a - b) for a, b in zip(word, word[1:]))
+            assert Decimal(r["max"]["product"]) == gaps
 
 
 # src/ holding the package under test, and the repo root holding pyproject.toml;
