@@ -17,19 +17,23 @@ malformed or unreadable input, an n outside a closed form's range, or an n
 too large to build a word for or to print.  It writes one `error:` line to
 stderr and nothing to stdout.
 Rationals are printed as "p/q", root-products as a product/root pair, and
-permutations in a form that --perm accepts back verbatim.
+permutations in a form that --perm accepts back verbatim.  JSON output is
+the layout `json.dumps` writes with an indent of 2, byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import json
 import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from typing import Any
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable
 
 from .core import (
     InvariantError,
@@ -69,11 +73,39 @@ def _frac(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _decimal(k: int) -> decimal.Decimal:
+    """k >= 0 as an exact Decimal, in time near-linear in its digits.
+
+    `Decimal(k)` is exact and not bound by CPython's int->str digit limit,
+    which M* passes from n = 1497, but it is quadratic in the digit count.
+    Above 2048 bits the halves of k are converted apart and joined as
+    `lo + hi * 2**w2`, the scheme of CPython 3.12's `_pylong.int_to_decimal`;
+    libmpdec multiplies large operands in near-linear time.
+    """
+    powers: dict[int, decimal.Decimal] = {}
+
+    def pow2(w: int) -> decimal.Decimal:
+        if w not in powers:
+            powers[w] = decimal.Decimal(2) ** w
+        return powers[w]
+
+    def inner(k: int, w: int) -> decimal.Decimal:
+        if w <= 2048:
+            return decimal.Decimal(k)
+        w2 = w >> 1
+        hi = k >> w2
+        return inner(k - (hi << w2), w2) + inner(hi, w - w2) * pow2(w2)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        return inner(k, k.bit_length())
+
+
 def _product(pv: ProductValue) -> dict[str, Any]:
-    # Decimal prints an int exactly and is not bound by CPython's int->str
-    # digit limit, which M* passes from n = 1497
     p = pv.product
-    text = str(decimal.Decimal(p.numerator)) if p.denominator == 1 else _frac(p)
+    text = str(_decimal(p.numerator)) if p.denominator == 1 else _frac(p)
     return {"product": text, "root": pv.root}
 
 
@@ -279,7 +311,7 @@ def _render_text(report: dict[str, Any]) -> str:
         lines.append(f"failures: {results['failures']}")
     elif cmd == "improve":
         for k, step in enumerate(results["trajectory"]):
-            word = " ".join(str(v) for v in step["perm"])
+            word = _render_value(step["perm"])
             lines.append(f"step {k}: {word}  value {_render_value(step['value'])}")
         lines.append(f"steps: {results['steps']}")
     elif cmd == "sample":
@@ -331,9 +363,50 @@ def _render_csv(report: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
+def _json_key(key: Any) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    # the encoder's own text for a non-string key: '{"k": 0}' less '{' and ': 0}'
+    return json.dumps({key: 0})[1:-4]
+
+
+@functools.cache
+def _flat_encoder(depth: int) -> Callable[[Any], str]:
+    # the C encoder, with the indented layout's newline and padding as its
+    # item separator
+    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": ")).encode
+
+
+def _json(obj: Any, depth: int = 0) -> str:
+    """`json.dumps(obj)` indented by 2, with every container of scalars in one C call.
+
+    With `indent` set CPython encodes in pure Python.  JSON escapes each
+    newline inside a string, so in a container of scalars the item separator
+    is the only newline, and the C encoder writes the indented items.
+    """
+    if isinstance(obj, dict):
+        values, brackets = obj.values(), "{}"
+    elif isinstance(obj, (list, tuple)):
+        values, brackets = obj, "[]"
+    else:
+        return json.dumps(obj)
+    if not obj:
+        return brackets
+    pad = "  " * (depth + 1)
+    if any(map(isinstance, values, repeat((dict, list, tuple)))):
+        if isinstance(obj, dict):
+            items = [_json_key(k) + ": " + _json(v, depth + 1) for k, v in obj.items()]
+        else:
+            items = [_json(v, depth + 1) for v in obj]
+        inner = (",\n" + pad).join(items)
+    else:
+        inner = _flat_encoder(depth)(obj)[1:-1]
+    return f"{brackets[0]}\n{pad}{inner}\n{'  ' * depth}{brackets[1]}"
+
+
 def _render(report: dict[str, Any], fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, indent=2)
+        return _json(report)
     if fmt == "csv":
         return _render_csv(report)
     return _render_text(report)

@@ -168,7 +168,6 @@ def construct_prescribed(n: int, d: Fraction | int | str) -> Permutation:
     t = -(-d.numerator * n * n // (2 * d.denominator))  # least integer >= d n^2 / 2
     u = min(math.isqrt(t - 1) + 1 if t else 0, n // 2)
     img = list(range(1, n + 1))
-    for i in range(1, u + 1):
-        img[i - 1] = i + u
-        img[i + u - 1] = i
+    img[:u] = range(u + 1, 2 * u + 1)
+    img[u:2 * u] = range(1, u + 1)
     return Permutation(tuple(img))

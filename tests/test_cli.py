@@ -11,12 +11,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import permstats
 from permstats import cli, extremal, oracle
 from permstats.cli import _crossing_example, parse_permutation_text, run
 from permstats.core import Permutation, displacement
 from permstats.sampling import ConcentrationBound, displacement_sums
+from permstats.stretch import max_multiplicative_stretch
 
 
 def invoke(capsys, *argv):
@@ -716,6 +719,8 @@ class TestUsageBoundary:
     @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
     def test_unprintable_count(self, capsys, fmt):
         # count_max_displacement(2000) has more digits than CPython prints
+        count = extremal.count_max_displacement(2000)
+        assert type(count) is int and count.bit_length() > 4300 * math.log2(10)
         assert_usage_error(
             *invoke(capsys, "extremal", "--n", "2000", "--stat", "disp", "--format", fmt)
         )
@@ -764,6 +769,51 @@ class TestProductDigits:
         for word in r["maximizers"]:
             gaps = math.prod(abs(a - b) for a, b in zip(word, word[1:]))
             assert Decimal(r["max"]["product"]) == gaps
+
+
+    @pytest.mark.parametrize("n", [30, 1400, 5000, 20000])
+    def test_decimal_digits_of_m_star(self, n):
+        product = max_multiplicative_stretch(n).product.numerator
+        assert str(cli._decimal(product)) == str(Decimal(product))
+
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text() | st.sampled_from(["", "a\nb", "\u00e9\u2028", "\x00\x1f\t\"\\"])
+)
+JSON_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+
+
+class TestJsonLayout:
+    # cli._json is json.dumps(..., indent=2) without the pure-Python encoder
+
+    @given(st.recursive(
+        JSON_SCALARS,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(JSON_KEYS, inner, max_size=4),
+        max_leaves=20,
+    ))
+    @settings(max_examples=200)
+    def test_equals_stdlib_layout(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "--perm", "2 4 1 3"],
+        ["metrics", "--perm", "1"],
+        ["extremal", "--n", "7", "--stat", "disp"],
+        ["extremal", "--n", "7", "--stat", "s-plus"],
+        ["extremal", "--n", "7", "--stat", "s-star"],
+        ["construct", "--n", "9", "--displacement", "1/4"],
+        ["verify", "--max-n", "4"],
+        ["sample", "--n", "10", "--trials", "200", "--epsilons", "0.1,-1,100"],
+        ["improve", "--perm", "3 1 4 2 5", "--stat", "disp"],
+        ["improve", "--perm", "3 1 4 2 5 6", "--stat", "s-star"],
+    ], ids=lambda argv: "-".join(argv[:1] + argv[-1:]))
+    def test_every_command(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv, "--format", "json")
+        assert code == 0 and err == ""
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 # src/ holding the package under test, and the repo root holding pyproject.toml;

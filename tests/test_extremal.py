@@ -222,6 +222,16 @@ class TestConstructPrescribed:
         assert 2 * u * u >= d * n * n or u == n // 2
         assert abs(Fraction(2 * u * u, n * n) - d) <= Fraction(2, n)
 
+    def test_equals_elementwise_swap(self):
+        # the per-position loop that the two slice assignments replaced
+        for n in range(1, 41):
+            for u in range(n // 2 + 1):
+                img = list(range(1, n + 1))
+                for i in range(1, u + 1):
+                    img[i - 1] = i + u
+                    img[i + u - 1] = i
+                assert construct_prescribed(n, Fraction(2 * u * u, n * n)).image == tuple(img)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             construct_prescribed(10, Fraction(3, 5))
